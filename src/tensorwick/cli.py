@@ -11,7 +11,6 @@ TENSORWICK_<COMMAND>_<FLAG> environment variables.
 from __future__ import annotations
 
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -120,9 +119,6 @@ _graph_opt = click.option("--graph", type=str, default=None, help="graph file (J
 _inline_opt = click.option("--inline", type=str, default=None, help="inline graph string")
 _out_opt = click.option("--out", type=str, default=None, help="write the JSON report here instead of stdout")
 _seed_opt = click.option("--seed", type=int, default=0, show_default=True, help="RNG seed")
-_threads_opt = click.option(
-    "--threads", type=int, default=lambda: os.cpu_count() or 1, help="search parallelism [default: all cores]"
-)
 
 
 @click.group()
@@ -229,20 +225,18 @@ def faces(graph, inline, pairing, out):
 @_inline_opt
 @click.option("--connected-only", is_flag=True, help="restrict to component-joining pairings")
 @click.option("--budget", type=int, default=wick_mod.DEFAULT_NODE_BUDGET, help="search node budget")
-@_threads_opt
 @_out_opt
 @_guard
-def scaling(graph, inline, connected_only, budget, threads, out):
+def scaling(graph, inline, connected_only, budget, out):
     """Maximal face count over pairings, with multiplicity and witness."""
     g = _load_graph(graph, inline)
-    rep = wick_mod.max_scaling(g, connected_only=connected_only, threads=threads, node_budget=budget)
+    rep = wick_mod.max_scaling(g, connected_only=connected_only, node_budget=budget)
     _emit(
         "scaling",
         {
             "graph": graph or "inline",
             "connected_only": connected_only,
             "budget": budget,
-            "threads": threads,
         },
         rep.to_json_dict(),
         out,

@@ -431,7 +431,9 @@ def counterexample_search(
     skipped and tallied separately).  A graph with F_max < D*n/2 disproves
     factorization: its connected square then beats its squared expectation
     in scaling for at least one component.  As a sanity envelope, every
-    component must respect F_max <= 1 + (D-1) n within itself.
+    component must respect F_max <= 1 + (D-1) n within itself.  Trial t
+    draws its graph with the string seed f"{seed}:{t}", so no two
+    (seed, trial) pairs share a random stream, negative seeds included.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -442,7 +444,7 @@ def counterexample_search(
     envelope_ok = True
     a_bound = a_threshold(D, n)
     for trial in range(trials):
-        g = random_colored_graph(D, n, seed * 1_000_003 + trial)
+        g = random_colored_graph(D, n, f"{seed}:{trial}")
         rep = max_scaling(g, node_budget=node_budget)
         comps = connected_components(g)
         creps = [

@@ -7,17 +7,19 @@ connected part (classical cumulant) restricts the sum to pairings that join
 all graph components into one piece.  Everything here is exact integer or
 rational arithmetic; N never becomes a float.
 
-The enumeration engine walks pairings in canonical order (smallest free
-vertex first, partners ascending), keeping per-color alternating-path
-endpoints as flat partner arrays so each extension costs O(D).  The
-branch-and-bound maximizer prunes with the admissible bound
-closed + D * remaining_pairs and therefore never misses ties, which lets it
-count every optimal pairing and report the lexicographically least witness.
+One engine, `_scan`, serves both histograms and maximization.  It walks
+pairings in canonical order (smallest free vertex first, partners
+ascending), keeping per-color alternating-path endpoints as flat partner
+arrays so each extension costs O(D).  The last pair needs no splice: its two
+vertices are the ends of every color's remaining path, so it closes exactly
+D faces.  Given a node budget, the same walk becomes a branch and bound that
+prunes with the admissible bound closed + D * remaining_pairs and therefore
+never misses ties, which lets it count every optimal pairing and report the
+lexicographically least witness.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -38,30 +40,82 @@ class BudgetExceeded(RuntimeError):
 # enumeration engine
 
 
-def _histogram_scan(
+def _scan(
     partners: Sequence[Sequence[int]],
     comp_ids: Sequence[int],
     q: int,
     connected_only: bool,
-) -> dict[int, int]:
-    """Face-count histogram over all perfect pairings, one DFS with undo."""
+    node_budget: Optional[int] = None,
+) -> tuple[dict[int, int], Optional[list[tuple[int, int]]], bool]:
+    """Depth-first walk over the perfect pairings, in lexicographic order.
+
+    Returns (counts, witness, exact).  counts maps each face count to the
+    number of visited pairings attaining it (with connected_only, only
+    pairings joining all q components count); witness is the first visited
+    pairing of the largest face count, i.e. the lexicographically least one.
+
+    Without node_budget every pairing is visited and counts is the full
+    histogram.  With it, every call counts as a node and subtrees with
+    closed + D * remaining < best are pruned.  Ties are never pruned, so the
+    top bin of counts is the number of maximizing pairings.  When the budget
+    runs out the walk stops short and exact is False.
+    """
     D = len(partners)
     two_n = len(partners[0])
-    track = connected_only and q > 1
+    bounded = node_budget is not None
     bnd = [list(p) for p in partners]
     S = two_n  # sentinel of the doubly linked free list
     nxt = list(range(1, two_n + 1)) + [0]
     prv = [S] + list(range(two_n - 1)) + [two_n - 1]
     par = list(range(q))
     sz = [1] * q
+    mate = [0] * two_n  # mate[u] for the least free vertex u of each level
     counts: dict[int, int] = {}
+    witness = None
+    best = -1
+    nodes = 0
+    exact = True
+
+    def find(c: int) -> int:
+        while par[c] != c:
+            c = par[c]
+        return c
 
     def rec(remaining: int, closed: int, live: int) -> None:
-        if remaining == 0:
-            if not track or live == 1:
-                counts[closed] = counts.get(closed, 0) + 1
-            return
+        nonlocal nodes, exact, best, witness
+        if bounded:
+            nodes += 1
+            if nodes > node_budget:
+                exact = False
+                return
+            if closed + D * remaining < best:
+                return
         u = nxt[S]
+        if remaining == 1:
+            # the last two free vertices are joined by every color's
+            # boundary path, so their pair closes exactly D faces
+            v = nxt[u]
+            if bounded:
+                nodes += 1
+                if nodes > node_budget:
+                    exact = False
+                    return
+            # every union-find set holds an even number of free vertices, so
+            # u and v share one and the last pair merges nothing
+            if live > 1:
+                return
+            closed += D
+            counts[closed] = counts.get(closed, 0) + 1
+            if closed > best:
+                best = closed
+                mate[u] = v
+                witness = []
+                paired = [False] * two_n
+                for w in range(two_n):
+                    if not paired[w]:
+                        paired[mate[w]] = True
+                        witness.append((w, mate[w]))
+            return
         u_next = nxt[u]
         nxt[S] = u_next
         prv[u_next] = S
@@ -71,24 +125,19 @@ def _histogram_scan(
             nxt[pv_] = nv_
             prv[nv_] = pv_
             dclosed = 0
-            saves = []
             for bc in bnd:
-                a, b = bc[u], bc[v]
+                a = bc[u]
                 if a == v:
                     dclosed += 1
                 else:
+                    b = bc[v]
                     bc[a] = b
                     bc[b] = a
-                    saves.append((bc, a, b))
             merged = -1
             lv = live
-            if track and lv > 1:
-                ru = comp_ids[u]
-                while par[ru] != ru:
-                    ru = par[ru]
-                rv = comp_ids[v]
-                while par[rv] != rv:
-                    rv = par[rv]
+            if lv > 1:
+                ru = find(comp_ids[u])
+                rv = find(comp_ids[v])
                 if ru != rv:
                     if sz[ru] < sz[rv]:
                         ru, rv = rv, ru
@@ -96,156 +145,25 @@ def _histogram_scan(
                     sz[ru] += sz[rv]
                     merged = rv
                     lv -= 1
+            mate[u] = v
             rec(remaining - 1, closed + dclosed, lv)
             if merged >= 0:
-                rp = par[merged]
-                sz[rp] -= sz[merged]
+                sz[par[merged]] -= sz[merged]
                 par[merged] = merged
-            for bc, a, b in saves:
-                bc[a] = u
-                bc[b] = v
-            nxt[pv_] = v
-            prv[nv_] = v
-            v = nv_
-        nxt[S] = u
-        prv[u_next] = u
-
-    rec(two_n // 2, 0, q)
-    return counts
-
-
-def _maximize_scan(
-    partners: Sequence[Sequence[int]],
-    comp_ids: Sequence[int],
-    q: int,
-    connected_only: bool,
-    node_budget: int,
-    first_pair: Optional[tuple[int, int]] = None,
-) -> tuple[int, int, Optional[list[tuple[int, int]]], bool]:
-    """Branch-and-bound maximum of the face count over perfect pairings.
-
-    Returns (best, optimal_count, witness_pairs, exact).  Ties with the
-    incumbent are never pruned, so optimal_count is the full number of
-    maximizing pairings and the witness is the lexicographically least one
-    (the DFS emits pairings in lexicographic order).  When the node budget
-    runs out the best found so far is returned with exact=False.
-    """
-    D = len(partners)
-    two_n = len(partners[0])
-    track = connected_only and q > 1
-    bnd = [list(p) for p in partners]
-    S = two_n
-    nxt = list(range(1, two_n + 1)) + [0]
-    prv = [S] + list(range(two_n - 1)) + [two_n - 1]
-    par = list(range(q))
-    sz = [1] * q
-    state = {"best": -1, "count": 0, "witness": None, "nodes": 0, "exact": True}
-    stack: list[tuple[int, int]] = []
-
-    def union(u: int, v: int) -> int:
-        ru = comp_ids[u]
-        while par[ru] != ru:
-            ru = par[ru]
-        rv = comp_ids[v]
-        while par[rv] != rv:
-            rv = par[rv]
-        if ru == rv:
-            return -1
-        if sz[ru] < sz[rv]:
-            ru, rv = rv, ru
-        par[rv] = ru
-        sz[ru] += sz[rv]
-        return rv
-
-    def rec(remaining: int, closed: int, live: int) -> None:
-        state["nodes"] += 1
-        if state["nodes"] > node_budget:
-            state["exact"] = False
-            return
-        if closed + D * remaining < state["best"]:
-            return
-        if remaining == 0:
-            if track and live != 1:
-                return
-            if closed > state["best"]:
-                state["best"] = closed
-                state["count"] = 1
-                state["witness"] = stack.copy()
-            elif closed == state["best"]:
-                state["count"] += 1
-                if state["witness"] is None:
-                    state["witness"] = stack.copy()
-            return
-        u = nxt[S]
-        u_next = nxt[u]
-        nxt[S] = u_next
-        prv[u_next] = S
-        v = u_next
-        while v != S:
-            pv_, nv_ = prv[v], nxt[v]
-            nxt[pv_] = nv_
-            prv[nv_] = pv_
-            dclosed = 0
-            saves = []
+            # bc[u] and bc[v] are untouched below this level: undo from them
             for bc in bnd:
-                a, b = bc[u], bc[v]
-                if a == v:
-                    dclosed += 1
-                else:
-                    bc[a] = b
-                    bc[b] = a
-                    saves.append((bc, a, b))
-            merged = -1
-            lv = live
-            if track and lv > 1:
-                merged = union(u, v)
-                if merged >= 0:
-                    lv -= 1
-            stack.append((u, v))
-            rec(remaining - 1, closed + dclosed, lv)
-            stack.pop()
-            if merged >= 0:
-                rp = par[merged]
-                sz[rp] -= sz[merged]
-                par[merged] = merged
-            for bc, a, b in saves:
-                bc[a] = u
-                bc[b] = v
+                a = bc[u]
+                if a != v:
+                    bc[a] = u
+                    bc[bc[v]] = v
             nxt[pv_] = v
             prv[nv_] = v
             v = nv_
         nxt[S] = u
         prv[u_next] = u
 
-    remaining = two_n // 2
-    closed0 = 0
-    live0 = q
-    if first_pair is not None:
-        u, v = first_pair
-        for w in (u, v):
-            nxt[prv[w]] = nxt[w]
-            prv[nxt[w]] = prv[w]
-        for bc in bnd:
-            a, b = bc[u], bc[v]
-            if a == v:
-                closed0 += 1
-            else:
-                bc[a] = b
-                bc[b] = a
-        if track:
-            if union(u, v) >= 0:
-                live0 -= 1
-        stack.append((u, v))
-        remaining -= 1
-    rec(remaining, closed0, live0)
-    return state["best"], state["count"], state["witness"], state["exact"]
-
-
-def _max_scaling_worker(args):
-    partners, comp_ids, q, connected_only, node_budget, first_pair = args
-    return _maximize_scan(
-        partners, comp_ids, q, connected_only, node_budget, first_pair
-    )
+    rec(two_n // 2, 0, q if connected_only else 1)
+    return counts, witness, exact
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +212,7 @@ def enumerate_histogram(
             f"(n={G.n}) exceeds the configured budget n <= {budget}"
         )
     comp_ids, q = G.component_ids()
-    counts = _histogram_scan(G.partner_arrays(), comp_ids, q, connected_only)
+    counts, _, _ = _scan(G.partner_arrays(), comp_ids, q, connected_only)
     return FaceHistogram(counts, connected_only, G.n, G.D)
 
 
@@ -475,48 +393,23 @@ def max_scaling(
     """Exact maximum of the face count over perfect pairings of G's vertices.
 
     Works past the histogram budget thanks to pruning; practical up to
-    roughly 20 vertices.  With threads > 1 the search splits over the
-    possible partners of vertex 0 and merges deterministically, so parallel
-    and sequential runs produce identical reports.
+    roughly 20 vertices.  The search is sequential; threads is accepted for
+    compatibility and has no effect, so every value gives the same report,
+    also when node_budget truncates the search.
     """
-    partners = G.partner_arrays()
     comp_ids, q = G.component_ids()
-    two_n = 2 * G.n
-    if threads <= 1 or two_n < 4:
-        best, count, witness, exact = _maximize_scan(
-            partners, comp_ids, q, connected_only, node_budget
-        )
-    else:
-        jobs = [
-            (
-                [list(p) for p in partners],
-                list(comp_ids),
-                q,
-                connected_only,
-                node_budget,
-                (0, v),
-            )
-            for v in range(1, two_n)
-        ]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_max_scaling_worker, jobs))
-        best, count, witness, exact = -1, 0, None, True
-        for b, c, w, e in results:
-            exact = exact and e
-            if b > best:
-                best, count, witness = b, c, w
-            elif b == best:
-                count += c
-                if witness is None:
-                    witness = w
+    counts, witness, exact = _scan(
+        G.partner_arrays(), comp_ids, q, connected_only, node_budget
+    )
     if witness is None:
         raise BudgetExceeded(
             f"node budget {node_budget} exhausted before any pairing completed"
         )
+    best = max(counts)
     g_conn = connected_only or q == 1
     omega = scaling_defect(G, best, g_conn) if g_conn else None
     return ScalingReport(
-        best, count, Matching(witness, two_n), omega, connected_only, exact
+        best, counts[best], Matching(witness, 2 * G.n), omega, connected_only, exact
     )
 
 

@@ -30,7 +30,7 @@ def test_gen_pipes_into_analysis_commands():
     gen = run("gen", "--melonic", "--insertions", "2", "--seed", "3")
     for cmd in (
         ["melonic"],
-        ["scaling", "--threads", "1"],
+        ["scaling"],
         ["expect"],
         ["cumulant"],
         ["euler3"],
@@ -46,7 +46,7 @@ def test_gen_pipes_into_analysis_commands():
 
 
 def test_scaling_report_shape():
-    res = run("scaling", "--inline", MELON, "--threads", "1")
+    res = run("scaling", "--inline", MELON)
     doc = json.loads(res.stdout)
     assert doc["F_max"] == 5
     assert doc["num_optimal"] == 1
@@ -140,7 +140,7 @@ def test_mc_commands():
 
 def test_out_file(tmp_path):
     target = tmp_path / "report.json"
-    res = run("scaling", "--inline", DIPOLE, "--threads", "1", "--out", str(target))
+    res = run("scaling", "--inline", DIPOLE, "--out", str(target))
     assert res.exit_code == 0
     assert res.stdout == ""
     doc = json.loads(target.read_text())

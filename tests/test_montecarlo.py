@@ -1,8 +1,10 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
+from tensorwick import montecarlo
 from tensorwick.faces import total_faces
 from tensorwick.graphs import (
     ColoredGraph,
@@ -177,6 +179,23 @@ def test_counterexample_search_statistics():
     csv = rep.f_max_csv()
     assert csv.startswith("F_max,count\n")
     assert sum(int(line.split(",")[1]) for line in csv.strip().split("\n")[1:]) == 40
+
+
+def test_counterexample_search_trial_streams_are_distinct(monkeypatch):
+    # random.Random takes the absolute value of an int seed, so the trial
+    # seeds of opposite search seeds must not be plain integer arithmetic
+    seeds = []
+    draw = montecarlo.random_colored_graph
+
+    def recording(D, n, seed):
+        seeds.append(seed)
+        return draw(D, n, seed)
+
+    monkeypatch.setattr(montecarlo, "random_colored_graph", recording)
+    for seed in (-1, 0, 1):
+        counterexample_search(3, 1, trials=4, seed=seed)
+    streams = {random.Random(s).getrandbits(64) for s in seeds}
+    assert len(seeds) == 12 and len(streams) == 12
 
 
 def test_counterexample_search_envelope_at_n6():

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -36,6 +37,24 @@ from helpers import (
 )
 
 
+# a single graph with n <= 4, or a disjoint union of two or three graphs with
+# total n <= 5: unions reach the last pair with two and with more than two
+# unjoined components
+part_sizes = st.one_of(
+    st.integers(1, 4).map(lambda n: (n,)),
+    st.sampled_from(
+        [(1, 1), (1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (1, 1, 1), (1, 1, 2), (1, 1, 3), (1, 2, 2)]
+    ),
+)
+
+
+def graph_of_parts(D, sizes, seed):
+    return reduce(
+        disjoint_union,
+        [random_colored_graph(D, n, seed + i) for i, n in enumerate(sizes)],
+    )
+
+
 def test_histogram_examples():
     assert enumerate_histogram(new_dipole(3)).counts == {3: 1}
     assert enumerate_histogram(new_dipole(3), connected_only=True).counts == {3: 1}
@@ -60,10 +79,10 @@ def test_histogram_totals():
         assert hc.total_pairings <= h.total_pairings
 
 
-@given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 10**6), st.booleans())
-@settings(max_examples=40, deadline=None)
-def test_histogram_matches_brute_force(D, n, seed, connected_only):
-    g = random_colored_graph(D, n, seed)
+@given(st.integers(1, 4), part_sizes, st.integers(0, 10**6), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_histogram_matches_brute_force(D, sizes, seed, connected_only):
+    g = graph_of_parts(D, sizes, seed)
     assert (
         enumerate_histogram(g, connected_only=connected_only).counts
         == brute_histogram(g, connected_only=connected_only)
@@ -127,10 +146,10 @@ def test_max_scaling_examples():
         assert rep.F_max == D and rep.num_optimal == 1
 
 
-@given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 10**6), st.booleans())
-@settings(max_examples=40, deadline=None)
-def test_max_scaling_matches_brute_force(D, n, seed, connected_only):
-    g = random_colored_graph(D, n, seed)
+@given(st.integers(1, 4), part_sizes, st.integers(0, 10**6), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_max_scaling_matches_brute_force(D, sizes, seed, connected_only):
+    g = graph_of_parts(D, sizes, seed)
     hist = brute_histogram(g, connected_only=connected_only)
     rep = max_scaling(g, connected_only=connected_only)
     assert rep.exact
@@ -192,6 +211,18 @@ def test_parallel_equals_sequential():
     seq = max_scaling(g, connected_only=True, threads=1).to_json_dict()
     par = max_scaling(g, connected_only=True, threads=3).to_json_dict()
     assert json.dumps(seq, sort_keys=True) == json.dumps(par, sort_keys=True)
+    # also when the node budget binds and the report is only a lower bound
+    g = random_colored_graph(3, 8, seed=2)
+    for budget, F_max, num_optimal, witness in (
+        (2000, 12, 3, [(0, 1), (2, 3), (4, 9), (5, 11), (6, 15), (7, 14), (8, 10), (12, 13)]),
+        (20000, 13, 6, [(0, 1), (2, 10), (3, 8), (4, 9), (5, 13), (6, 15), (7, 14), (11, 12)]),
+    ):
+        seq = max_scaling(g, threads=1, node_budget=budget)
+        par = max_scaling(g, threads=2, node_budget=budget)
+        assert seq == par
+        assert not seq.exact
+        assert (seq.F_max, seq.num_optimal) == (F_max, num_optimal)
+        assert seq.witness == Matching(witness, 16)
 
 
 def test_max_scaling_beyond_histogram_cap():
