@@ -1,15 +1,21 @@
 """Command-line front end: one subcommand per library operation, JSON out.
 
 Structured output goes to stdout (or --out) only; human-readable summaries
-go to stderr so pipelines stay clean.  Every report echoes its effective
-configuration, seed included, making any run replayable from its own
-output.  Exit codes: 0 success, 1 negative verdict (e.g. a graph that does
-not factorize), 2 input or budget errors.  All flags can be overridden via
+go to stderr so pipelines stay clean.  Every report's "config" block holds
+the parsed options under their flag names (--connected-only as
+connected_only), every option but --out, with inline graphs and the seed
+included.  null means the option was not given and took its default; for
+--nu that is D-1, and the payload carries the value used.  Passing each
+entry back as its flag replays the run, except one that read a graph from
+stdin (--graph -) or from a file that has changed since.  Exit codes: 0
+success, 1 negative verdict (e.g. a graph that does not factorize), 2 input
+or budget errors.  All flags can be overridden via
 TENSORWICK_<COMMAND>_<FLAG> environment variables.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -59,18 +65,7 @@ def _load_graphs(paths: tuple[str, ...], inline: tuple[str, ...]):
 
 
 def _parse_pairs(text: str) -> list[tuple[int, int]]:
-    pairs = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        parts = token.split("-")
-        if len(parts) != 2:
-            raise CliError(f"bad pair token {token!r}; expected 'u-v'")
-        try:
-            pairs.append((int(parts[0]), int(parts[1])))
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
+    pairs = graphs_mod.parse_pairs(text)
     if not pairs:
         raise CliError("no pairs given")
     return pairs
@@ -85,8 +80,11 @@ def _parse_nu(text: str | None, D: int) -> Fraction:
         raise CliError(f"bad rational {text!r}: {exc}") from exc
 
 
-def _emit(command: str, config: dict, payload: dict, out: str | None, summary: str, code: int = 0):
-    doc = {"command": command, "config": config}
+def _emit(payload: dict, summary: str, code: int = 0):
+    ctx = click.get_current_context()
+    out = ctx.params["out"]
+    config = {k: v for k, v in ctx.params.items() if k != "out"}
+    doc = {"command": ctx.command.name, "config": config}
     doc.update(payload)
     text = json.dumps(doc, indent=2, sort_keys=True, default=str) + "\n"
     if out:
@@ -98,27 +96,17 @@ def _emit(command: str, config: dict, payload: dict, out: str | None, summary: s
     else:
         click.echo(text, nl=False)
     click.echo(summary, err=True)
-    click.get_current_context().exit(code)
+    ctx.exit(code)
 
 
-def _guard(fn):
-    """Map library errors onto exit code 2 with a clean diagnostic."""
-
-    def wrapped(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except (wick_mod.BudgetExceeded, graphs_mod.GraphFormatError, ValueError) as exc:
-            raise CliError(str(exc)) from exc
-
-    wrapped.__name__ = fn.__name__
-    wrapped.__doc__ = fn.__doc__
-    return wrapped
-
-
-_graph_opt = click.option("--graph", type=str, default=None, help="graph file (JSON or text line), '-' for stdin")
-_inline_opt = click.option("--inline", type=str, default=None, help="inline graph string")
-_out_opt = click.option("--out", type=str, default=None, help="write the JSON report here instead of stdout")
 _seed_opt = click.option("--seed", type=int, default=0, show_default=True, help="RNG seed")
+_nu_opt = click.option("--nu", type=str, default=None, help="covariance exponent, rational [default: D-1]")
+_node_budget_opt = click.option(
+    "--budget", type=int, default=wick_mod.DEFAULT_NODE_BUDGET, help="search node budget"
+)
+_histogram_cap_opt = click.option(
+    "--budget", type=int, default=wick_mod.DEFAULT_HISTOGRAM_CAP, help="enumeration cap on n"
+)
 
 
 @click.group()
@@ -126,38 +114,59 @@ def main():
     """Exact pairing combinatorics and Monte Carlo checks for tensor invariants."""
 
 
-@main.command()
+def _command(graphs: str | None = None):
+    """Register a subcommand that writes one report with _emit.
+
+    Adds --out, and maps library errors onto exit code 2 with a clean
+    diagnostic.  graphs="one" adds --graph/--inline and passes the loaded
+    graph as the first argument; graphs="many" makes both repeatable and
+    passes the list of loaded graphs.
+    """
+
+    def register(fn):
+        @functools.wraps(fn)
+        def guarded(out, graph=None, inline=None, **options):
+            # out is read back from the context by _emit
+            try:
+                if graphs == "one":
+                    return fn(_load_graph(graph, inline), **options)
+                if graphs == "many":
+                    return fn(_load_graphs(graph, inline), **options)
+                return fn(**options)
+            except (wick_mod.BudgetExceeded, graphs_mod.GraphFormatError, ValueError) as exc:
+                raise CliError(str(exc)) from exc
+
+        cmd = main.command()(guarded)
+        many = graphs == "many"
+        sources = [
+            click.Option(["--graph"], type=str, multiple=many, help="graph file (JSON or text line), '-' for stdin"),
+            click.Option(["--inline"], type=str, multiple=many, help="inline graph string"),
+        ]
+        out_opt = click.Option(["--out"], type=str, default=None, help="write the JSON report here instead of stdout")
+        cmd.params = [*(sources if graphs else []), *cmd.params, out_opt]
+        return cmd
+
+    return register
+
+
+@_command()
 @click.option("--d", type=int, default=3, show_default=True, help="number of colors")
 @click.option("--n", type=int, default=2, show_default=True, help="half the vertex count")
 @click.option("--melonic", is_flag=True, help="grow a melonic graph instead of a uniform one")
 @click.option("--insertions", type=int, default=2, show_default=True, help="insertions for --melonic")
 @_seed_opt
-@_out_opt
-@_guard
-def gen(d, n, melonic, insertions, seed, out):
+def gen(d, n, melonic, insertions, seed):
     """Generate a random graph (uniform, or melonic via random insertions)."""
     if melonic:
         g = graphs_mod.random_melonic_graph(d, insertions, seed)
     else:
         g = graphs_mod.random_colored_graph(d, n, seed)
-    config = {"d": d, "n": n, "melonic": melonic, "insertions": insertions, "seed": seed}
-    _emit(
-        "gen",
-        config,
-        graphs_mod.graph_to_json_dict(g),
-        out,
-        f"generated {g.D}-colored graph on {2 * g.n} vertices",
-    )
+    _emit(graphs_mod.graph_to_json_dict(g), f"generated {g.D}-colored graph on {2 * g.n} vertices")
 
 
-@main.command()
-@_graph_opt
-@_inline_opt
-@_out_opt
-@_guard
-def melonic(graph, inline, out):
+@_command(graphs="one")
+def melonic(g):
     """Recognize melonic graphs; exit 1 when the graph is not melonic."""
-    g = _load_graph(graph, inline)
     rep = graphs_mod.is_melonic(g)
     payload = {
         "is_melonic": rep.is_melonic,
@@ -169,244 +178,151 @@ def melonic(graph, inline, out):
         ),
     }
     _emit(
-        "melonic",
-        {"graph": graph or "inline"},
         payload,
-        out,
         "melonic" if rep.is_melonic else "not melonic",
         0 if rep.is_melonic else 1,
     )
 
 
-@main.command()
-@_graph_opt
-@_inline_opt
+@_command(graphs="one")
 @click.option("--pairs", type=str, required=True, help="partial pairing, e.g. '0-3,1-2'")
-@_out_opt
-@_guard
-def boundary(graph, inline, pairs, out):
+def boundary(g, pairs):
     """Boundary graph left after absorbing a partial pairing."""
-    g = _load_graph(graph, inline)
     absorbed = graphs_mod.Matching(_parse_pairs(pairs), 2 * g.n)
     bg, labels = faces_mod.boundary_graph(g, absorbed)
     payload = graphs_mod.graph_to_json_dict(bg)
     payload["vertex_map"] = list(labels)
-    _emit(
-        "boundary",
-        {"graph": graph or "inline", "pairs": pairs},
-        payload,
-        out,
-        f"boundary graph on {2 * bg.n} vertices",
-    )
+    _emit(payload, f"boundary graph on {2 * bg.n} vertices")
 
 
-@main.command()
-@_graph_opt
-@_inline_opt
+@_command(graphs="one")
 @click.option("--pairing", type=str, required=True, help="perfect pairing, e.g. '0-1,2-3'")
-@_out_opt
-@_guard
-def faces(graph, inline, pairing, out):
+def faces(g, pairing):
     """Per-color face counts of a pairing against the graph."""
-    g = _load_graph(graph, inline)
     m0 = graphs_mod.Matching(_parse_pairs(pairing), 2 * g.n)
     fc = faces_mod.total_faces(m0, g)
-    _emit(
-        "faces",
-        {"graph": graph or "inline", "pairing": pairing},
-        fc.to_json_dict(),
-        out,
-        f"total faces {fc.total}, omega {fc.omega}",
-    )
+    _emit(fc.to_json_dict(), f"total faces {fc.total}, omega {fc.omega}")
 
 
-@main.command()
-@_graph_opt
-@_inline_opt
+@_command(graphs="one")
 @click.option("--connected-only", is_flag=True, help="restrict to component-joining pairings")
-@click.option("--budget", type=int, default=wick_mod.DEFAULT_NODE_BUDGET, help="search node budget")
-@_out_opt
-@_guard
-def scaling(graph, inline, connected_only, budget, out):
+@_node_budget_opt
+def scaling(g, connected_only, budget):
     """Maximal face count over pairings, with multiplicity and witness."""
-    g = _load_graph(graph, inline)
     rep = wick_mod.max_scaling(g, connected_only=connected_only, node_budget=budget)
     _emit(
-        "scaling",
-        {
-            "graph": graph or "inline",
-            "connected_only": connected_only,
-            "budget": budget,
-        },
         rep.to_json_dict(),
-        out,
         f"F_max {rep.F_max} attained by {rep.num_optimal} pairing(s)"
         + ("" if rep.exact else " [lower bound: budget hit]"),
     )
 
 
-def _poly_command(kind):
-    @_graph_opt
-    @_inline_opt
-    @click.option("--nu", type=str, default=None, help="covariance exponent, rational [default: D-1]")
-    @click.option("--budget", type=int, default=wick_mod.DEFAULT_HISTOGRAM_CAP, help="enumeration cap on n")
-    @_out_opt
-    @_guard
-    def cmd(graph, inline, nu, budget, out):
-        g = _load_graph(graph, inline)
-        nu_f = _parse_nu(nu, g.D)
-        fn = wick_mod.expectation_poly if kind == "expect" else wick_mod.cumulant_poly
-        poly = fn(g, nu=nu_f, budget=budget)
-        payload = {"polynomial": poly.to_triples(), "nu": str(nu_f), "n": poly.n}
-        _emit(
-            kind,
-            {"graph": graph or "inline", "nu": str(nu_f), "budget": budget},
-            payload,
-            out,
-            f"{len(poly.terms)} term(s), leading exponent "
-            + (str(poly.leading_exponent()) if poly.terms else "none"),
-        )
-
-    cmd.__name__ = kind
-    return cmd
+def _emit_poly(fn, g, nu, budget):
+    nu_f = _parse_nu(nu, g.D)
+    poly = fn(g, nu=nu_f, budget=budget)
+    _emit(
+        {"polynomial": poly.to_triples(), "nu": str(nu_f), "n": poly.n},
+        f"{len(poly.terms)} term(s), leading exponent "
+        + (str(poly.leading_exponent()) if poly.terms else "none"),
+    )
 
 
-main.command(name="expect", help="Exact Gaussian expectation as a polynomial in N.")(
-    _poly_command("expect")
-)
-main.command(name="cumulant", help="Connected expectation (cumulant) as a polynomial in N.")(
-    _poly_command("cumulant")
-)
+@_command(graphs="one")
+@_nu_opt
+@_histogram_cap_opt
+def expect(g, nu, budget):
+    """Exact Gaussian expectation as a polynomial in N."""
+    _emit_poly(wick_mod.expectation_poly, g, nu, budget)
 
 
-@main.command()
-@click.option("--graph", "graph_paths", type=str, multiple=True, help="graph file, repeatable")
-@click.option("--inline", "inline_strs", type=str, multiple=True, help="inline graph, repeatable")
-@click.option("--budget", type=int, default=wick_mod.DEFAULT_NODE_BUDGET, help="search node budget")
-@_out_opt
-@_guard
-def subadd(graph_paths, inline_strs, budget, out):
+@_command(graphs="one")
+@_nu_opt
+@_histogram_cap_opt
+def cumulant(g, nu, budget):
+    """Connected expectation (cumulant) as a polynomial in N."""
+    _emit_poly(wick_mod.cumulant_poly, g, nu, budget)
+
+
+@_command(graphs="many")
+@_node_budget_opt
+def subadd(gs, budget):
     """Strict-subadditivity check of the connected scaling; exit 1 if violated."""
-    gs = _load_graphs(graph_paths, inline_strs)
     rep = wick_mod.subadditivity_check(gs, node_budget=budget)
     _emit(
-        "subadd",
-        {"graphs": list(graph_paths) + ["inline"] * len(inline_strs), "budget": budget},
         rep.to_json_dict(),
-        out,
         f"lhs {rep.lhs} vs rhs {rep.rhs}: "
         + ("strictly subadditive" if rep.strict_subadditive else "NOT subadditive"),
         0 if rep.strict_subadditive else 1,
     )
 
 
-@main.command()
-@_graph_opt
-@_inline_opt
-@click.option("--nu", type=str, default=None, help="covariance exponent, rational [default: D-1]")
-@click.option("--budget", type=int, default=wick_mod.DEFAULT_NODE_BUDGET, help="search node budget")
-@_out_opt
-@_guard
-def factorize(graph, inline, nu, budget, out):
+@_command(graphs="one")
+@_nu_opt
+@_node_budget_opt
+def factorize(g, nu, budget):
     """Does the squared invariant factorize at large N?  Exit 1 if it does not."""
-    g = _load_graph(graph, inline)
-    nu_f = _parse_nu(nu, g.D)
-    rep = wick_mod.factorization_verdict(g, nu=nu_f, node_budget=budget)
+    rep = wick_mod.factorization_verdict(g, nu=_parse_nu(nu, g.D), node_budget=budget)
     _emit(
-        "factorize",
-        {"graph": graph or "inline", "nu": str(nu_f), "budget": budget},
         rep.to_json_dict(),
-        out,
         "factorizes" if rep.factorizes else "DOES NOT factorize",
         0 if rep.factorizes else 1,
     )
 
 
-@main.command()
-@_graph_opt
-@_inline_opt
-@_out_opt
-@_guard
-def euler3(graph, inline, out):
+@_command(graphs="one")
+def euler3(g):
     """Bicolored Euler count for 3 colors; exit 1 when not planar."""
-    g = _load_graph(graph, inline)
     rep = faces_mod.euler_d3(g)
     _emit(
-        "euler3",
-        {"graph": graph or "inline"},
         rep.to_json_dict(),
-        out,
         f"total {rep.total}, chi {rep.chi}, "
         + ("planar" if rep.is_planar else "NOT planar"),
         0 if rep.is_planar else 1,
     )
 
 
-@main.command(name="mc-cycles")
+@_command()
 @click.option("--n", type=int, required=True, help="half the vertex count")
 @click.option("--samples", type=int, default=None, help="sample count; omit for exact enumeration")
 @_seed_opt
-@_out_opt
-@_guard
-def mc_cycles(n, samples, seed, out):
+def mc_cycles(n, samples, seed):
     """Cycle-length and face-count distribution of a random matching."""
     dist = mc_mod.cycle_distribution(n, samples=samples, seed=seed if samples else None)
-    _emit(
-        "mc-cycles",
-        {"n": n, "samples": samples, "seed": seed},
-        dist.to_json_dict(),
-        out,
-        f"{dist.mode} distribution over {dist.total} matchings",
-    )
+    _emit(dist.to_json_dict(), f"{dist.mode} distribution over {dist.total} matchings")
 
 
-@main.command(name="mc-bound")
+@_command()
 @click.option("--n", type=int, required=True, help="half the vertex count")
 @click.option("--m", type=int, required=True, help="base of m**F; needs m >= 2n")
 @click.option("--samples", type=int, default=None, help="sample count; omit for exact")
 @_seed_opt
-@_out_opt
-@_guard
-def mc_bound(n, m, samples, seed, out):
+def mc_bound(n, m, samples, seed):
     """E[m**F] against the binomial bound C(m+n-1, m-1)."""
     rep = mc_mod.verify_expectation_bound(n, m, samples=samples, seed=seed if samples else None)
     _emit(
-        "mc-bound",
-        {"n": n, "m": m, "samples": samples, "seed": seed},
         rep.to_json_dict(),
-        out,
         f"E[m^F] = {float(rep.value):.6g} vs bound {rep.bound}: "
         + ("holds" if rep.holds else "VIOLATED"),
     )
 
 
-@main.command()
+@_command()
 @click.option("--d", type=int, required=True, help="number of colors")
 @click.option("--epsilon", type=float, default=0.01, show_default=True)
-@_out_opt
-@_guard
-def thresholds(d, epsilon, out):
+def thresholds(d, epsilon):
     """Sizes at which the probabilistic counterexample argument applies."""
     rep = mc_mod.threshold_report(d, epsilon)
-    _emit(
-        "thresholds",
-        {"d": d, "epsilon": epsilon},
-        rep.to_json_dict(),
-        out,
-        f"n_epsilon {rep.n_epsilon}, n_gap {rep.n_gap}",
-    )
+    _emit(rep.to_json_dict(), f"n_epsilon {rep.n_epsilon}, n_gap {rep.n_gap}")
 
 
-@main.command()
+@_command()
 @click.option("--d", type=int, default=3, show_default=True)
 @click.option("--n", type=int, required=True, help="half the vertex count")
 @click.option("--trials", type=int, default=100, show_default=True)
-@click.option("--budget", type=int, default=wick_mod.DEFAULT_NODE_BUDGET, help="search node budget")
-@click.option("--csv", "csv_path", type=str, default=None, help="also write the F_max histogram as CSV")
+@_node_budget_opt
+@click.option("--csv", type=str, default=None, help="also write the F_max histogram as CSV")
 @_seed_opt
-@_out_opt
-@_guard
-def search(d, n, trials, budget, csv_path, seed, out):
+def search(d, n, trials, budget, csv, seed):
     """Sample random graphs and hunt for scaling violators."""
     rep = mc_mod.counterexample_search(d, n, trials, seed, node_budget=budget)
     payload = {
@@ -424,68 +340,33 @@ def search(d, n, trials, budget, csv_path, seed, out):
         "inexact_trials": rep.inexact_trials,
         "component_envelope_ok": rep.component_envelope_ok,
     }
-    if csv_path:
+    if csv:
         try:
-            with open(csv_path, "w", encoding="utf-8") as fh:
+            with open(csv, "w", encoding="utf-8") as fh:
                 fh.write(rep.f_max_csv())
         except OSError as exc:
-            raise CliError(f"cannot write {csv_path}: {exc}") from exc
-    _emit(
-        "search",
-        {"d": d, "n": n, "trials": trials, "seed": seed, "budget": budget},
-        payload,
-        out,
-        f"{len(rep.lemma_violations)} threshold violator(s) in {trials} trials",
-    )
+            raise CliError(f"cannot write {csv}: {exc}") from exc
+    _emit(payload, f"{len(rep.lemma_violations)} threshold violator(s) in {trials} trials")
 
 
-@main.command(name="mc-moment")
-@click.option("--graph", "graph_paths", type=str, multiple=True, help="graph file, repeatable")
-@click.option("--inline", "inline_strs", type=str, multiple=True, help="inline graph, repeatable")
+@_command(graphs="many")
 @click.option("--dim", type=int, required=True, help="tensor dimension N")
-@click.option("--nu", type=str, default=None, help="covariance exponent [default: D-1]")
+@_nu_opt
 @click.option("--samples", type=int, default=100_000, show_default=True)
 @_seed_opt
-@_out_opt
-@_guard
-def mc_moment(graph_paths, inline_strs, dim, nu, samples, seed, out):
+def mc_moment(gs, dim, nu, samples, seed):
     """Monte Carlo joint moment of the invariants of the given graphs."""
-    gs = _load_graphs(graph_paths, inline_strs)
-    nu_f = _parse_nu(nu, gs[0].D)
-    est = num_mod.mc_moment(gs, dim, nu_f, samples, seed)
-    _emit(
-        "mc-moment",
-        {
-            "graphs": list(graph_paths) + ["inline"] * len(inline_strs),
-            "dim": dim,
-            "nu": str(nu_f),
-            "samples": samples,
-            "seed": seed,
-        },
-        est.to_json_dict(),
-        out,
-        f"mean {est.mean:.6g} +- {est.standard_error:.2g}",
-    )
+    est = num_mod.mc_moment(gs, dim, _parse_nu(nu, gs[0].D), samples, seed)
+    _emit(est.to_json_dict(), f"mean {est.mean:.6g} +- {est.standard_error:.2g}")
 
 
-@main.command()
-@_graph_opt
-@_inline_opt
+@_command(graphs="one")
 @click.option("--dim", type=int, default=3, show_default=True, help="tensor dimension N")
 @_seed_opt
-@_out_opt
-@_guard
-def invariance(graph, inline, dim, seed, out):
+def invariance(g, dim, seed):
     """Relative change of the invariant under random orthogonal rotations."""
-    g = _load_graph(graph, inline)
     dev = num_mod.orthogonal_invariance_check(g, dim, seed)
-    _emit(
-        "invariance",
-        {"graph": graph or "inline", "dim": dim, "seed": seed},
-        {"relative_deviation": dev},
-        out,
-        f"relative deviation {dev:.3e}",
-    )
+    _emit({"relative_deviation": dev}, f"relative deviation {dev:.3e}")
 
 
 def run():

@@ -68,27 +68,6 @@ class FaceCount:
         }
 
 
-def _joined_is_connected(G: ColoredGraph, M0: Matching) -> bool:
-    ids, q = G.component_ids()
-    if q == 1:
-        return True
-    parent = list(range(q))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    live = q
-    for u, v in M0.pairs:
-        ru, rv = find(ids[u]), find(ids[v])
-        if ru != rv:
-            parent[rv] = ru
-            live -= 1
-    return live == 1
-
-
 def scaling_defect(G: ColoredGraph, total: int, g_connected: bool) -> Optional[int]:
     """omega for a given total face count, or None where no formula applies."""
     _, q = G.component_ids()
@@ -106,7 +85,7 @@ def total_faces(M0: Matching, G: ColoredGraph) -> FaceCount:
         raise ValueError("M0 must be a perfect matching on the graph's vertices")
     per_color = tuple(count_bicolored_cycles(M0, m) for m in G.matchings)
     total = sum(per_color)
-    g_conn = _joined_is_connected(G, M0)
+    g_conn = ColoredGraph((*G.matchings, M0)).is_connected
     _, q = G.component_ids()
     return FaceCount(per_color, total, scaling_defect(G, total, g_conn), g_conn, q)
 

@@ -466,6 +466,23 @@ def graph_to_text(G: ColoredGraph) -> str:
     return f"{G.D} {G.n} | {blocks}"
 
 
+def parse_pairs(text: str) -> list[tuple[int, int]]:
+    """Pairs from comma-separated 'u-v' tokens; empty tokens are skipped."""
+    pairs = []
+    for token in text.split(","):
+        token = token.strip()
+        if not token:
+            continue
+        parts = token.split("-")
+        if len(parts) != 2:
+            raise GraphFormatError(f"bad pair token {token!r}; expected 'u-v'")
+        try:
+            pairs.append((int(parts[0]), int(parts[1])))
+        except ValueError as exc:
+            raise GraphFormatError(str(exc)) from exc
+    return pairs
+
+
 def graph_from_text(line: str) -> ColoredGraph:
     head, sep, body = line.partition("|")
     if not sep:
@@ -479,20 +496,8 @@ def graph_from_text(line: str) -> ColoredGraph:
         raise GraphFormatError(f"expected {D} color blocks, found {len(blocks)}")
     ms = []
     for c, block in enumerate(blocks, start=1):
-        pairs = []
-        for token in block.split(","):
-            token = token.strip()
-            if not token:
-                continue
-            parts = token.split("-")
-            if len(parts) != 2:
-                raise GraphFormatError(f"color {c}: bad pair token {token!r}")
-            try:
-                pairs.append((int(parts[0]), int(parts[1])))
-            except ValueError as exc:
-                raise GraphFormatError(f"color {c}: {exc}") from exc
         try:
-            m = Matching(pairs, 2 * n)
+            m = Matching(parse_pairs(block), 2 * n)
         except ValueError as exc:
             raise GraphFormatError(f"color {c}: {exc}") from exc
         if not m.is_perfect:

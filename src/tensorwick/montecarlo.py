@@ -158,7 +158,6 @@ def cycle_distribution(
     n: int,
     samples: Optional[int] = None,
     seed: Optional[int] = None,
-    exact_cap: int = DEFAULT_EXACT_CAP,
 ) -> CycleDistribution:
     """Distribution of F against the reference pairing; exact or sampled.
 
@@ -169,10 +168,11 @@ def cycle_distribution(
     if n < 1:
         raise ValueError("n must be at least 1")
     if samples is None:
-        if n > exact_cap:
+        if n > DEFAULT_EXACT_CAP:
             raise BudgetExceeded(
                 f"exact enumeration over {count_matchings(n)} matchings "
-                f"(n={n}) exceeds the cap n <= {exact_cap}"
+                f"(n={n}) exceeds the cap n <= {DEFAULT_EXACT_CAP}; "
+                "pass samples to estimate"
             )
         face_hist, k_hist = _exact_cycle_stats(n)
         return CycleDistribution(
@@ -245,16 +245,11 @@ def verify_expectation_bound(
     m: int,
     samples: Optional[int] = None,
     seed: Optional[int] = None,
-    exact_cap: int = DEFAULT_EXACT_CAP,
 ) -> ExpectationBoundReport:
     """Check E[m**F_n] <= C(m+n-1, m-1); exact below the cap, sampled above."""
     if m < 2 * n:
         raise ValueError(f"the bound needs m >= 2n, got m={m} < {2 * n}")
-    if samples is None and n > exact_cap:
-        raise BudgetExceeded(
-            f"n={n} exceeds the exact cap {exact_cap}; pass samples to estimate"
-        )
-    dist = cycle_distribution(n, samples=samples, seed=seed, exact_cap=exact_cap)
+    dist = cycle_distribution(n, samples=samples, seed=seed)
     value = dist.expectation_m_power(m)
     stderr = None
     if dist.mode == "sample":

@@ -169,3 +169,120 @@ def test_env_var_override():
     explicit = run("gen", "--melonic", "--seed", "7")
     assert overridden.stdout == explicit.stdout
     assert overridden.stdout != plain.stdout
+
+
+GRAPH = ("--graph", None, False, False, False)
+INLINE = ("--inline", None, False, False, False)
+GRAPHS = ("--graph", None, True, False, False)
+INLINES = ("--inline", None, True, False, False)
+SEED = ("--seed", 0, False, False, False)
+OUT = ("--out", None, False, False, False)
+NODE_BUDGET = ("--budget", 20_000_000, False, False, False)
+
+# Every subcommand's options in declaration order, as
+# (flags, default, multiple, is_flag, required).
+SURFACE = {
+    "boundary": [GRAPH, INLINE, ("--pairs", None, False, False, True), OUT],
+    "cumulant": [GRAPH, INLINE, ("--nu", None, False, False, False), ("--budget", 10, False, False, False), OUT],
+    "euler3": [GRAPH, INLINE, OUT],
+    "expect": [GRAPH, INLINE, ("--nu", None, False, False, False), ("--budget", 10, False, False, False), OUT],
+    "faces": [GRAPH, INLINE, ("--pairing", None, False, False, True), OUT],
+    "factorize": [GRAPH, INLINE, ("--nu", None, False, False, False), NODE_BUDGET, OUT],
+    "gen": [
+        ("--d", 3, False, False, False),
+        ("--n", 2, False, False, False),
+        ("--melonic", False, False, True, False),
+        ("--insertions", 2, False, False, False),
+        SEED,
+        OUT,
+    ],
+    "invariance": [GRAPH, INLINE, ("--dim", 3, False, False, False), SEED, OUT],
+    "mc-bound": [
+        ("--n", None, False, False, True),
+        ("--m", None, False, False, True),
+        ("--samples", None, False, False, False),
+        SEED,
+        OUT,
+    ],
+    "mc-cycles": [("--n", None, False, False, True), ("--samples", None, False, False, False), SEED, OUT],
+    "mc-moment": [
+        GRAPHS,
+        INLINES,
+        ("--dim", None, False, False, True),
+        ("--nu", None, False, False, False),
+        ("--samples", 100_000, False, False, False),
+        SEED,
+        OUT,
+    ],
+    "melonic": [GRAPH, INLINE, OUT],
+    "scaling": [GRAPH, INLINE, ("--connected-only", False, False, True, False), NODE_BUDGET, OUT],
+    "search": [
+        ("--d", 3, False, False, False),
+        ("--n", None, False, False, True),
+        ("--trials", 100, False, False, False),
+        NODE_BUDGET,
+        ("--csv", None, False, False, False),
+        SEED,
+        OUT,
+    ],
+    "subadd": [GRAPHS, INLINES, NODE_BUDGET, OUT],
+    "thresholds": [("--d", None, False, False, True), ("--epsilon", 0.01, False, False, False), OUT],
+}
+
+
+def test_cli_surface_is_pinned():
+    surface = {}
+    for name, cmd in main.commands.items():
+        rows = []
+        for p in cmd.params:
+            info = p.to_info_dict()
+            rows.append(
+                (" ".join(p.opts), info["default"], p.multiple, info["is_flag"], p.required)
+            )
+        surface[name] = rows
+    assert surface == SURFACE
+
+
+def _args_from_config(config):
+    args = []
+    for key, value in config.items():
+        flag = "--" + key.replace("_", "-")
+        if value is None or value is False:
+            continue
+        if value is True:
+            args.append(flag)
+        elif isinstance(value, list):
+            for item in value:
+                args += [flag, str(item)]
+        else:
+            args += [flag, str(value)]
+    return args
+
+
+def test_every_report_replays_from_its_config(tmp_path):
+    cases = [
+        ["gen", "--melonic", "--insertions", "2", "--seed", "7"],
+        ["melonic", "--inline", MELON],
+        ["boundary", "--inline", MELON, "--pairs", "0-1"],
+        ["faces", "--inline", MELON, "--pairing", "0-1,2-3"],
+        ["scaling", "--inline", SIX_CYCLIC, "--connected-only"],
+        ["expect", "--inline", DIPOLE, "--nu", "2"],
+        ["cumulant", "--inline", MELON],
+        ["subadd", "--inline", DIPOLE, "--inline", MELON],
+        ["factorize", "--inline", MELON, "--nu", "1/2"],
+        ["euler3", "--inline", SIX_CYCLIC],
+        ["mc-cycles", "--n", "3", "--samples", "50", "--seed", "4"],
+        ["mc-bound", "--n", "2", "--m", "5"],
+        ["thresholds", "--d", "4", "--epsilon", "0.05"],
+        ["search", "--n", "2", "--trials", "5", "--seed", "3", "--csv", str(tmp_path / "f.csv")],
+        ["mc-moment", "--inline", DIPOLE, "--inline", DIPOLE, "--dim", "2", "--samples", "200", "--seed", "1"],
+        ["invariance", "--inline", MELON, "--dim", "2", "--seed", "3"],
+    ]
+    assert sorted(args[0] for args in cases) == sorted(main.commands)
+    for args in cases:
+        first = run(*args)
+        assert first.exit_code in (0, 1), (args, first.stderr)
+        doc = json.loads(first.stdout)
+        again = run(doc["command"], *_args_from_config(doc["config"]))
+        assert again.exit_code == first.exit_code, (args, again.stderr)
+        assert again.stdout == first.stdout, args

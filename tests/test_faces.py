@@ -25,6 +25,7 @@ from tensorwick.graphs import (
 from helpers import (
     all_matchings,
     dsu_cycle_count,
+    joined_connected,
     six_vertex_cyclic,
     spec_quartic_melon,
 )
@@ -212,10 +213,16 @@ def test_omega_nonnegative_whenever_defined():
         for D in (2, 3, 4)
         for n in (2, 3, 4)
         for seed in (0, 1)
-    ] + [random_colored_graph(3, 5, seed=9), random_melonic_graph(3, 4, seed=3)]
+    ] + [
+        random_colored_graph(3, 5, seed=9),
+        random_melonic_graph(3, 4, seed=3),
+        disjoint_union(random_colored_graph(3, 1, 0), random_colored_graph(3, 2, 1)),
+        disjoint_union(random_colored_graph(2, 2, 0), random_colored_graph(2, 2, 1)),
+    ]
     for g in graphs:
         for pairs in all_matchings(2 * g.n):
             fc = total_faces(Matching(pairs, 2 * g.n), g)
+            assert fc.g_connected == joined_connected(g, pairs)
             if fc.omega is not None:
                 assert fc.omega >= 0
 
