@@ -109,6 +109,20 @@ _histogram_cap_opt = click.option(
 )
 
 
+class _Lines(click.types.StringParamType):
+    """A string option whose environment variable holds one value per line.
+
+    Click splits a repeatable option's environment value on whitespace,
+    which would cut a text graph ("3 1 | 0-1 ; ...") into pieces.  Blank
+    lines are skipped.
+    """
+
+    envvar_list_splitter = "\n"
+
+    def split_envvar_value(self, rv: str) -> list[str]:
+        return [line for line in super().split_envvar_value(rv) if line.strip()]
+
+
 @click.group()
 def main():
     """Exact pairing combinatorics and Monte Carlo checks for tensor invariants."""
@@ -119,8 +133,9 @@ def _command(graphs: str | None = None):
 
     Adds --out, and maps library errors onto exit code 2 with a clean
     diagnostic.  graphs="one" adds --graph/--inline and passes the loaded
-    graph as the first argument; graphs="many" makes both repeatable and
-    passes the list of loaded graphs.
+    graph as the first argument; graphs="many" makes both repeatable, with
+    one entry per line in their environment variables, and passes the list
+    of loaded graphs.
     """
 
     def register(fn):
@@ -138,9 +153,10 @@ def _command(graphs: str | None = None):
 
         cmd = main.command()(guarded)
         many = graphs == "many"
+        kind = _Lines() if many else str
         sources = [
-            click.Option(["--graph"], type=str, multiple=many, help="graph file (JSON or text line), '-' for stdin"),
-            click.Option(["--inline"], type=str, multiple=many, help="inline graph string"),
+            click.Option(["--graph"], type=kind, multiple=many, help="graph file (JSON or text line), '-' for stdin"),
+            click.Option(["--inline"], type=kind, multiple=many, help="inline graph string"),
         ]
         out_opt = click.Option(["--out"], type=str, default=None, help="write the JSON report here instead of stdout")
         cmd.params = [*(sources if graphs else []), *cmd.params, out_opt]

@@ -10,11 +10,13 @@ rational arithmetic; N never becomes a float.
 One engine, `_scan`, serves both histograms and maximization.  It walks
 pairings in canonical order (smallest free vertex first, partners
 ascending), keeping per-color alternating-path endpoints as flat partner
-arrays so each extension costs O(D).  The last pair needs no splice: its two
-vertices are the ends of every color's remaining path, so it closes exactly
-D faces.  Given a node budget, the same walk becomes a branch and bound that
-prunes with the admissible bound closed + D * remaining_pairs and therefore
-never misses ties, which lets it count every optimal pairing and report the
+arrays so each extension costs O(D).  The last two levels need no splice:
+the last pair's vertices are the ends of every color's remaining path, so
+it closes exactly D faces, and each of the three ways to pair the least of
+four free vertices is scored from the boundary arrays alone.  Given a node
+budget, the same walk becomes a branch and bound that prunes with the
+admissible bound closed + D * remaining_pairs and therefore never misses
+ties, which lets it count every optimal pairing and report the
 lexicographically least witness.
 """
 
@@ -28,7 +30,10 @@ from typing import Optional, Sequence
 from .faces import scaling_defect
 from .graphs import ColoredGraph, Matching, count_matchings, disjoint_union
 
-DEFAULT_HISTOGRAM_CAP = 10  # refuse exhaustive sums past |M_10| = 654,729,075
+# refuse exhaustive sums past |M_10| = 654,729,075; a D = 3 histogram takes
+# about 1.6 s at n = 8, 29 s at n = 9 and 9 minutes at n = 10 (extrapolated
+# at 0.8 us per pairing, one core of a 2-core x86 host, Python 3.11)
+DEFAULT_HISTOGRAM_CAP = 10
 DEFAULT_NODE_BUDGET = 20_000_000
 
 
@@ -55,14 +60,27 @@ def _scan(
     pairing of the largest face count, i.e. the lexicographically least one.
 
     Without node_budget every pairing is visited and counts is the full
-    histogram.  With it, every call counts as a node and subtrees with
-    closed + D * remaining < best are pruned.  Ties are never pruned, so the
-    top bin of counts is the number of maximizing pairings.  When the budget
-    runs out the walk stops short and exact is False.
+    histogram; with connected_only, subtrees that can no longer join every
+    component are skipped.  With a budget, every level of the walk counts
+    as a node and subtrees with closed + D * remaining < best are pruned.
+    Ties are never pruned, so the top bin of counts is the number of
+    maximizing pairings.  When the budget runs out the walk stops short and
+    exact is False.
+
+    The last two levels are scored in closed form, without splicing or
+    recursing.  Each completion still counts as two nodes, its pair (u, v)
+    and its last pair, with the budget and prune checks a walk down to
+    every leaf would make, so truncated reports do not depend on how the
+    bottom is scored.
     """
     D = len(partners)
     two_n = len(partners[0])
     bounded = node_budget is not None
+    if two_n == 2:
+        # one pairing closing D faces; the walk is a root and a leaf node
+        if bounded and node_budget < 2:
+            return {}, None, False
+        return {D: 1}, [(0, 1)], True
     bnd = [list(p) for p in partners]
     S = two_n  # sentinel of the doubly linked free list
     nxt = list(range(1, two_n + 1)) + [0]
@@ -90,31 +108,59 @@ def _scan(
                 return
             if closed + D * remaining < best:
                 return
+        elif live > remaining:
+            # each pair but the last merges at most one union-find set, so
+            # no pairing below joins every component
+            return
         u = nxt[S]
-        if remaining == 1:
-            # the last two free vertices are joined by every color's
-            # boundary path, so their pair closes exactly D faces
-            v = nxt[u]
-            if bounded:
-                nodes += 1
-                if nodes > node_budget:
-                    exact = False
-                    return
-            # every union-find set holds an even number of free vertices, so
-            # u and v share one and the last pair merges nothing
-            if live > 1:
-                return
-            closed += D
-            counts[closed] = counts.get(closed, 0) + 1
-            if closed > best:
-                best = closed
-                mate[u] = v
-                witness = []
-                paired = [False] * two_n
-                for w in range(two_n):
-                    if not paired[w]:
-                        paired[mate[w]] = True
-                        witness.append((w, mate[w]))
+        if remaining == 2:
+            # Free vertices u < a < b < c.  Pairing (u, v) closes the colors
+            # with bc[u] == v; the last pair is then joined by every color's
+            # boundary path and closes D more.  Each completion stands for
+            # the child node and its leaf, counted and pruned in their order;
+            # past the budget every later node returns at once, so stop.
+            a = nxt[u]
+            b = nxt[a]
+            c = nxt[b]
+            ka = kb = 0
+            for bc in bnd:
+                x = bc[u]
+                if x == a:
+                    ka += 1
+                elif x == b:
+                    kb += 1
+            f = closed + D
+            scores = ((a, f + ka), (b, f + kb), (c, f + D - ka - kb))
+            if live == 2:
+                ru = find(comp_ids[u])
+            for v, f in scores:
+                if bounded:
+                    nodes += 1
+                    if nodes > node_budget:
+                        exact = False
+                        return
+                    if f < best:
+                        continue
+                    nodes += 1
+                    if nodes > node_budget:
+                        exact = False
+                        return
+                # every union-find set holds an even number of free vertices,
+                # so the last pair shares one and only (u, v) can merge two
+                if live > 1 and (live > 2 or find(comp_ids[v]) == ru):
+                    continue
+                counts[f] = counts.get(f, 0) + 1
+                if f > best:
+                    best = f
+                    mate[u] = v
+                    y, z = [w for w in (a, b, c) if w != v]
+                    mate[y] = z
+                    witness = []
+                    paired = [False] * two_n
+                    for w in range(two_n):
+                        if not paired[w]:
+                            paired[mate[w]] = True
+                            witness.append((w, mate[w]))
             return
         u_next = nxt[u]
         nxt[S] = u_next

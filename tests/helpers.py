@@ -79,6 +79,29 @@ def brute_histogram(G: ColoredGraph, connected_only: bool = False) -> dict[int, 
     return counts
 
 
+def cycle_length_histogram(n: int) -> dict[int, int]:
+    """k -> number of matchings on 2n vertices whose cycle against the
+    reference pairing {2i, 2i+1} through vertex 0 holds k reference pairs.
+
+    The cycle is found as vertex 0's union-find component, not by walking.
+    """
+    counts: dict[int, int] = {}
+    for m0 in all_matchings(2 * n):
+        parent = list(range(2 * n))
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        for u, v in [(2 * i, 2 * i + 1) for i in range(n)] + m0:
+            parent[find(u)] = find(v)
+        root = find(0)
+        k = sum(find(x) == root for x in range(2 * n)) // 2
+        counts[k] = counts.get(k, 0) + 1
+    return counts
+
+
 def naive_trace(G: ColoredGraph, entries) -> float:
     """The literal multi-index sum: one D-tuple of indices per vertex, one
     delta per colored edge.  Exponentially slow; only for tiny N."""

@@ -171,6 +171,34 @@ def test_env_var_override():
     assert overridden.stdout != plain.stdout
 
 
+def test_repeatable_graph_env_vars_take_one_graph_per_line(tmp_path):
+    # text graphs and one-line JSON hold spaces, so click's default
+    # whitespace split of a repeatable option's environment value breaks them
+    dipole_json = json.dumps(
+        {"D": 3, "vertices": 2, "matchings": [[[0, 1]], [[0, 1]], [[0, 1]]]}
+    )
+    path = tmp_path / "melon graph.txt"
+    path.write_text(MELON)
+    cases = [
+        ("subadd", [], [MELON, dipole_json]),
+        ("mc-moment", ["--dim", "2", "--samples", "200", "--seed", "4"], [DIPOLE, MELON]),
+    ]
+    for cmd, extra, inlines in cases:
+        flags = []
+        for text in inlines:
+            flags += ["--inline", text]
+        by_flags = run(cmd, "--graph", str(path), *flags, *extra)
+        assert by_flags.exit_code in (0, 1), by_flags.stderr
+        prefix = "TENSORWICK_" + cmd.upper().replace("-", "_")
+        env = {
+            prefix + "_GRAPH": f"{path}\n",
+            prefix + "_INLINE": "\n".join(inlines) + "\n",
+        }
+        by_env = run(cmd, *extra, env=env, auto_envvar_prefix="TENSORWICK")
+        assert by_env.exit_code == by_flags.exit_code, by_env.stderr
+        assert by_env.stdout == by_flags.stdout
+
+
 GRAPH = ("--graph", None, False, False, False)
 INLINE = ("--inline", None, False, False, False)
 GRAPHS = ("--graph", None, True, False, False)

@@ -24,7 +24,7 @@ from tensorwick.montecarlo import (
 )
 from tensorwick.wick import BudgetExceeded, enumerate_histogram
 
-from helpers import random_connected_graph
+from helpers import cycle_length_histogram, random_connected_graph
 
 
 def test_exact_distribution_n2():
@@ -46,9 +46,16 @@ def test_closed_form_matches_enumeration():
         assert all(pk[i] < pk[i + 1] for i in range(n - 1))
 
 
-def test_face_histogram_cross_checks_pairing_engine():
-    # the simple enumerator here and the boundary-splicing engine must agree
+def test_cycle_length_histogram_matches_brute_force():
+    # an oracle independent of the closed form that exact mode verifies
     for n in range(1, 6):
+        d = cycle_distribution(n)
+        assert d.cycle_length_histogram == cycle_length_histogram(n)
+
+
+def test_face_histogram_cross_checks_pairing_engine():
+    # the cycle enumerator here and the D-colored pairing engine must agree
+    for n in range(1, 8):
         d = cycle_distribution(n)
         g = ColoredGraph([consecutive_pairing(2 * n)])
         assert d.face_histogram == enumerate_histogram(g).counts

@@ -225,6 +225,50 @@ def test_parallel_equals_sequential():
         assert seq.witness == Matching(witness, 16)
 
 
+REFUSED = "node budget {} exhausted before any pairing completed"
+# (budget, (F_max, num_optimal, exact, witness) or None for a refusal)
+W6 = [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9)]
+W8 = [(0, 1), (2, 4), (3, 5), (6, 8), (7, 9)]
+TRUNCATED_SINGLE = [(b, None) for b in range(1, 6)] + [
+    (6, (6, 1, False, W6)),
+    (7, (6, 1, False, W6)),
+    (8, (6, 2, False, W6)),
+    (9, (6, 2, False, W6)),
+    (10, (6, 3, False, W6)),
+    (11, (6, 3, False, W6)),
+    (12, (6, 3, False, W6)),
+    (25, (6, 3, False, W6)),
+    (50, (8, 2, False, W8)),
+    (100, (8, 3, False, W8)),
+]
+TRUNCATED_UNION = [(b, None) for b in range(1, 12)] + [
+    (12, (4, 1, False, [(0, 1), (2, 4), (3, 5), (6, 7)])),
+    (25, (4, 6, False, [(0, 1), (2, 4), (3, 5), (6, 7)])),
+    (50, (6, 2, False, [(0, 2), (1, 4), (3, 5), (6, 7)])),
+    (100, (6, 12, False, [(0, 2), (1, 4), (3, 5), (6, 7)])),
+]
+
+
+def test_truncated_reports_inside_the_last_two_levels():
+    # small budgets stop the walk among the closed-form completions; node
+    # counts, budget checks and prunes there must match a walk to every leaf
+    union = disjoint_union(random_colored_graph(3, 2, 1), random_colored_graph(3, 2, 2))
+    for g, connected_only, table in (
+        (random_colored_graph(3, 5, 1), False, TRUNCATED_SINGLE),
+        (union, True, TRUNCATED_UNION),
+    ):
+        for budget, expected in table:
+            if expected is None:
+                with pytest.raises(BudgetExceeded) as info:
+                    max_scaling(g, connected_only, node_budget=budget)
+                assert str(info.value) == REFUSED.format(budget)
+                continue
+            rep = max_scaling(g, connected_only, node_budget=budget)
+            F_max, num_optimal, exact, witness = expected
+            assert (rep.F_max, rep.num_optimal, rep.exact) == (F_max, num_optimal, exact)
+            assert rep.witness == Matching(witness, 2 * g.n)
+
+
 def test_max_scaling_beyond_histogram_cap():
     # pruning reaches sizes where exhaustive histograms are hopeless
     g = random_melonic_graph(3, 9, seed=2)  # 20 vertices
