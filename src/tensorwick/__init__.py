@@ -1,12 +1,9 @@
 """Exact Wick-pairing combinatorics and Monte Carlo checks for Gaussian random tensors."""
 
 from .faces import (
-    BoundaryState,
     EulerReport,
     FaceCount,
-    boundary_add_pair,
     boundary_graph,
-    boundary_init,
     count_bicolored_cycles,
     euler_d3,
     total_faces,

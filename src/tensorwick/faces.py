@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .graphs import ColoredGraph, Matching, Pair, _normalize_pair
+from .graphs import ColoredGraph, Matching
 
 
 def count_bicolored_cycles(A: Matching, B: Matching) -> int:
@@ -91,89 +91,7 @@ def total_faces(M0: Matching, G: ColoredGraph) -> FaceCount:
 
 
 # ---------------------------------------------------------------------------
-# boundary states: absorb a partial pairing one pair at a time
-
-
-class BoundaryState:
-    """Alternating-path endpoints per color after absorbing a partial pairing.
-
-    For each color the state keeps a pairing of the free vertices: u is
-    paired with the other endpoint of the maximal alternating path through
-    u.  Absorbing a pair (u, v) either closes one cycle of a color (when u
-    and v already bound the same path) or splices two paths into one.
-    Totalling the closed counters over a fully absorbed perfect matching
-    reproduces total_faces.
-
-    The type behaves like a value: copy() is cheap and public operations
-    return fresh states, which is what the search engine's branching needs.
-    """
-
-    __slots__ = ("graph", "boundary", "closed", "free", "absorbed")
-
-    def __init__(self, graph, boundary, closed, free, absorbed):
-        self.graph = graph
-        self.boundary = boundary
-        self.closed = closed
-        self.free = free
-        self.absorbed = absorbed
-
-    def copy(self) -> "BoundaryState":
-        return BoundaryState(
-            self.graph,
-            [list(b) for b in self.boundary],
-            list(self.closed),
-            set(self.free),
-            list(self.absorbed),
-        )
-
-    @property
-    def total_closed(self) -> int:
-        return sum(self.closed)
-
-    def boundary_pairs(self, color: int) -> list[Pair]:
-        """Endpoint pairs of the alternating paths of a 1-based color."""
-        b = self.boundary[color - 1]
-        out = []
-        for u in sorted(self.free):
-            v = b[u]
-            if u < v:
-                out.append((u, v))
-        return out
-
-
-def boundary_init(G: ColoredGraph) -> BoundaryState:
-    """State before anything is absorbed: boundary edges are the colors themselves."""
-    return BoundaryState(
-        G,
-        [list(p) for p in G.partner_arrays()],
-        [0] * G.D,
-        set(range(2 * G.n)),
-        [],
-    )
-
-
-def boundary_add_pair(
-    state: BoundaryState, u: int, v: int
-) -> tuple[BoundaryState, list[int]]:
-    """Absorb the pair (u, v); returns the new state and cycles closed per color."""
-    if u == v:
-        raise ValueError(f"cannot absorb the degenerate pair ({u}, {v})")
-    if u not in state.free or v not in state.free:
-        raise ValueError(f"vertices {u}, {v} must both be free")
-    new = state.copy()
-    closed_now = [0] * len(new.boundary)
-    for c, b in enumerate(new.boundary):
-        pu, pv = b[u], b[v]
-        if pu == v:
-            new.closed[c] += 1
-            closed_now[c] = 1
-        else:
-            b[pu] = pv
-            b[pv] = pu
-    new.free.discard(u)
-    new.free.discard(v)
-    new.absorbed.append(_normalize_pair(u, v))
-    return new, closed_now
+# boundary graphs: the alternating paths a partial pairing leaves
 
 
 def boundary_graph(
@@ -181,26 +99,33 @@ def boundary_graph(
 ) -> tuple[ColoredGraph, tuple[int, ...]]:
     """The graph induced on the free vertices by alternating-path endpoints.
 
+    For each color, a free vertex u is paired with the other endpoint of the
+    maximal path through u that alternates between that color and the pairs
+    of the partial matching.  Absorbing a pair (u, v) either closes one cycle
+    of a color (when u and v already bound the same path) or splices two
+    paths into one.
+
     Returns the boundary graph with dense labels together with the map from
-    new labels back to G's labels.  The partial matching must leave at least
-    one pair of vertices free.
+    new labels back to G's labels: the free vertices in ascending order.  The
+    partial matching must leave at least one pair of vertices free.
     """
     if partial.ground_size != 2 * G.n:
         raise ValueError("partial matching lives on a different ground set")
     if len(partial) >= G.n:
-        raise ValueError(
-            "partial matching absorbs every vertex; fold boundary_add_pair "
-            "over a BoundaryState to track closed cycles instead"
-        )
-    state = boundary_init(G)
+        raise ValueError("partial matching absorbs every vertex; no boundary is left")
+    boundary = [list(p) for p in G.partner_arrays()]
     for u, v in partial.pairs:
-        state, _ = boundary_add_pair(state, u, v)
-    labels = tuple(sorted(state.free))
+        for b in boundary:
+            # when pu == v the pair closes a cycle and both stores are no-ops
+            pu, pv = b[u], b[v]
+            b[pu] = pv
+            b[pv] = pu
+    labels = tuple(w for w, p in enumerate(partial.partner_array()) if p < 0)
     index = {orig: new for new, orig in enumerate(labels)}
-    ms = []
-    for c in range(1, G.D + 1):
-        pairs = [(index[a], index[b]) for a, b in state.boundary_pairs(c)]
-        ms.append(Matching(pairs, len(labels)))
+    ms = [
+        Matching([(index[u], index[b[u]]) for u in labels if u < b[u]], len(labels))
+        for b in boundary
+    ]
     return ColoredGraph(ms), labels
 
 

@@ -34,7 +34,7 @@ class Matching:
     """Disjoint unordered vertex pairs on the ground set 0..ground_size-1.
 
     A matching is perfect when it covers every vertex.  Partial matchings
-    are allowed; they appear as the absorbed pair set of a boundary state.
+    are allowed; faces.boundary_graph takes one as the pairs it absorbs.
     Instances are immutable and hashable.
     """
 
@@ -429,6 +429,10 @@ def graph_from_json_dict(doc: dict) -> ColoredGraph:
         matchings = doc["matchings"]
     except (KeyError, TypeError, ValueError) as exc:
         raise GraphFormatError(f"missing or malformed graph field: {exc}") from exc
+    if not isinstance(matchings, list):
+        raise GraphFormatError(
+            f"matchings must be a list, found {type(matchings).__name__}"
+        )
     if len(matchings) != D:
         raise GraphFormatError(
             f"expected {D} matchings, found {len(matchings)}"

@@ -63,6 +63,27 @@ def faces_of(G: ColoredGraph, m0_pairs) -> int:
     return sum(dsu_cycle_count(m.pairs, m0_pairs, two_n) for m in G.matchings)
 
 
+def closed_faces(G: ColoredGraph, partial_pairs) -> int:
+    """Faces a partial pairing closes: per color, the union-find components
+    of that color's pairs plus the partial pairs that hold no free vertex."""
+    two_n = 2 * G.n
+    free = set(range(two_n)) - {w for p in partial_pairs for w in p}
+    total = 0
+    for m in G.matchings:
+        parent = list(range(two_n))
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        for u, v in list(m.pairs) + list(partial_pairs):
+            parent[find(u)] = find(v)
+        roots = {find(x) for x in range(two_n)}
+        total += len(roots - {find(x) for x in free})
+    return total
+
+
 def joined_connected(G: ColoredGraph, m0_pairs) -> bool:
     two_n = 2 * G.n
     all_pairs = [p for m in G.matchings for p in m.pairs] + list(m0_pairs)

@@ -2,6 +2,7 @@ import json
 
 from click.testing import CliRunner
 
+import tensorwick
 from tensorwick.cli import main
 
 DIPOLE = "3 1 | 0-1 ; 0-1 ; 0-1"
@@ -83,6 +84,9 @@ def test_input_errors_exit_2():
     res = run("melonic", "--inline", bad_color)
     assert res.exit_code == 2
     assert "color 3" in res.stderr
+    res = run("melonic", "--inline", '{"D": 1, "vertices": 2, "matchings": 5}')
+    assert res.exit_code == 2
+    assert "matchings must be a list" in res.stderr
     # histogram budget refusal
     res = run("expect", "--inline", MELON, "--budget", "1")
     assert res.exit_code == 2
@@ -269,6 +273,34 @@ def test_cli_surface_is_pinned():
             )
         surface[name] = rows
     assert surface == SURFACE
+
+
+# the package's public names, submodules included; a removal edits this list
+PUBLIC_API = [
+    "BudgetExceeded", "ColoredGraph", "CycleDistribution", "EulerReport",
+    "ExpectationPoly", "FaceCount", "FaceHistogram", "GraphFormatError",
+    "Matching", "MelonicReport", "MomentEstimate", "ScalingReport",
+    "SearchReport", "SetPartition", "TensorData", "ThresholdReport",
+    "bell_number", "boundary_graph", "closed_form_cycle_probabilities",
+    "connected_components", "consecutive_pairing", "copy_pairing",
+    "count_bicolored_cycles", "count_matchings", "counterexample_search",
+    "cumulant_poly", "cumulants_from_moments", "cycle_distribution",
+    "disjoint_union", "enumerate_histogram", "euler_d3",
+    "evaluate_trace_invariant", "expectation_poly", "faces",
+    "factorization_verdict", "graph_from_json", "graph_from_text",
+    "graph_to_json", "graph_to_text", "graphs", "is_melonic",
+    "lemma_condition", "max_scaling", "mc_moment", "melon_insert",
+    "mobius_coefficient", "moments_from_cumulants", "montecarlo",
+    "new_dipole", "numeric", "orthogonal_invariance_check", "parse_graph",
+    "partitions", "random_colored_graph", "random_melonic_graph",
+    "random_perfect_matching", "sample_gaussian_tensor", "set_partitions",
+    "subadditivity_check", "threshold_report", "total_faces",
+    "verify_expectation_bound", "wick",
+]
+
+
+def test_public_api_is_pinned():
+    assert sorted(tensorwick.__all__) == PUBLIC_API
 
 
 def _args_from_config(config):

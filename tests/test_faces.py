@@ -1,12 +1,12 @@
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tensorwick.faces import (
-    boundary_add_pair,
     boundary_graph,
-    boundary_init,
     count_bicolored_cycles,
     euler_d3,
     total_faces,
@@ -24,7 +24,9 @@ from tensorwick.graphs import (
 
 from helpers import (
     all_matchings,
+    closed_faces,
     dsu_cycle_count,
+    faces_of,
     joined_connected,
     six_vertex_cyclic,
     spec_quartic_melon,
@@ -94,37 +96,6 @@ def test_total_faces_additive_over_disjoint_union():
     )
 
 
-def test_boundary_init_state():
-    g = spec_quartic_melon()
-    st0 = boundary_init(g)
-    assert st0.free == {0, 1, 2, 3}
-    assert st0.closed == [0, 0, 0]
-    for c in range(1, 4):
-        assert st0.boundary_pairs(c) == list(g.matching(c).pairs)
-
-
-def test_boundary_add_pair_dipole():
-    st0 = boundary_init(new_dipole(3))
-    st1, closed = boundary_add_pair(st0, 0, 1)
-    assert closed == [1, 1, 1]
-    assert st1.free == set() and st1.total_closed == 3
-    # the original state is untouched (value semantics)
-    assert st0.free == {0, 1} and st0.total_closed == 0
-
-
-def test_boundary_add_pair_melon():
-    st0 = boundary_init(spec_quartic_melon())
-    st1, closed = boundary_add_pair(st0, 0, 1)
-    assert closed == [1, 0, 1]
-    assert st1.free == {2, 3}
-    for c in (1, 2, 3):
-        assert st1.boundary_pairs(c) == [(2, 3)]
-    with pytest.raises(ValueError):
-        boundary_add_pair(st1, 0, 2)
-    with pytest.raises(ValueError):
-        boundary_add_pair(st1, 2, 2)
-
-
 def test_boundary_graph_melon():
     bg, labels = boundary_graph(spec_quartic_melon(), Matching([(0, 1)], 4))
     assert bg == new_dipole(3)
@@ -191,20 +162,30 @@ def test_connected_graph_with_disconnected_boundary_exists():
     assert found
 
 
-def test_incremental_equals_batch_exhaustive():
+def test_boundary_graph_carries_every_unclosed_face():
+    # faces of a pairing = faces closed by any sub-pairing (the head) plus
+    # faces of the boundary graph against the rest (the tail), relabeled
     graphs = [
         new_dipole(3),
         spec_quartic_melon(),
         six_vertex_cyclic(),
         random_colored_graph(2, 4, seed=4),
         random_colored_graph(4, 3, seed=5),
+        disjoint_union(random_colored_graph(3, 1, 0), random_colored_graph(3, 2, 1)),
     ]
+    cases = 0
     for g in graphs:
         for pairs in all_matchings(2 * g.n):
-            state = boundary_init(g)
-            for u, v in pairs:
-                state, _ = boundary_add_pair(state, u, v)
-            assert state.total_closed == total_faces(Matching(pairs, 2 * g.n), g).total
+            total = faces_of(g, pairs)
+            for r in range(1, g.n):
+                for head in combinations(pairs, r):
+                    tail = [p for p in pairs if p not in head]
+                    bg, labels = boundary_graph(g, Matching(head, 2 * g.n))
+                    index = {orig: new for new, orig in enumerate(labels)}
+                    rest = [(index[u], index[v]) for u, v in tail]
+                    assert total == closed_faces(g, head) + faces_of(bg, rest)
+                    cases += 1
+    assert cases == 1746
 
 
 def test_omega_nonnegative_whenever_defined():

@@ -285,6 +285,9 @@ def test_json_roundtrip_and_diagnostics():
         )
     with pytest.raises(GraphFormatError):
         graph_from_json('{"D": 2, "vertices": 4, "matchings": [[[0,1],[2,3]]]}')
+    for bad in ("5", "null"):
+        with pytest.raises(GraphFormatError, match="matchings must be a list"):
+            graph_from_json(f'{{"D": 1, "vertices": 2, "matchings": {bad}}}')
     with pytest.raises(GraphFormatError):
         graph_from_json("not json")
 
