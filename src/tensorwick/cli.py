@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import json
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import click
@@ -299,7 +300,7 @@ def euler3(g):
 
 @_command()
 @click.option("--n", type=int, required=True, help="half the vertex count")
-@click.option("--samples", type=int, default=None, help="sample count; omit for exact enumeration")
+@click.option("--samples", type=int, default=None, help="sample count; omit for the exact closed form")
 @_seed_opt
 def mc_cycles(n, samples, seed):
     """Cycle-length and face-count distribution of a random matching."""
@@ -307,17 +308,25 @@ def mc_cycles(n, samples, seed):
     _emit(dist.to_json_dict(), f"{dist.mode} distribution over {dist.total} matchings")
 
 
+def _approx(x) -> str:
+    """x to 6 significant digits, also past the float range."""
+    try:
+        return f"{float(x):.6g}"
+    except OverflowError:
+        return f"{Decimal(x.numerator) / x.denominator:.6g}"
+
+
 @_command()
 @click.option("--n", type=int, required=True, help="half the vertex count")
 @click.option("--m", type=int, required=True, help="base of m**F; needs m >= 2n")
-@click.option("--samples", type=int, default=None, help="sample count; omit for exact")
+@click.option("--samples", type=int, default=None, help="sample count; omit for the exact closed form")
 @_seed_opt
 def mc_bound(n, m, samples, seed):
     """E[m**F] against the binomial bound C(m+n-1, m-1)."""
     rep = mc_mod.verify_expectation_bound(n, m, samples=samples, seed=seed if samples else None)
     _emit(
         rep.to_json_dict(),
-        f"E[m^F] = {float(rep.value):.6g} vs bound {rep.bound}: "
+        f"E[m^F] = {_approx(rep.value)} vs bound {rep.bound}: "
         + ("holds" if rep.holds else "VIOLATED"),
     )
 

@@ -22,9 +22,16 @@ class GraphFormatError(ValueError):
     """A serialized graph failed to parse or validate."""
 
 
+def _integral(x) -> int:
+    """int(x), refusing the floats (inf and nan too) that int() would truncate."""
+    if isinstance(x, float) and not x.is_integer():
+        raise ValueError(f"{x!r} is not an integer")
+    return int(x)
+
+
 def _normalize_pair(u: int, v: int) -> Pair:
-    u = int(u)
-    v = int(v)
+    u = _integral(u)
+    v = _integral(v)
     if u == v:
         raise ValueError(f"pair ({u}, {v}) joins a vertex to itself")
     return (u, v) if u < v else (v, u)
@@ -424,8 +431,8 @@ def graph_to_json(G: ColoredGraph) -> str:
 
 def graph_from_json_dict(doc: dict) -> ColoredGraph:
     try:
-        D = int(doc["D"])
-        vertices = int(doc["vertices"])
+        D = _integral(doc["D"])
+        vertices = _integral(doc["vertices"])
         matchings = doc["matchings"]
     except (KeyError, TypeError, ValueError) as exc:
         raise GraphFormatError(f"missing or malformed graph field: {exc}") from exc

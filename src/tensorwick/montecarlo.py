@@ -5,9 +5,9 @@ controls how face counts of random graphs concentrate: the probability that
 a fixed reference pair sits on a cycle of length 2k has a closed product
 form, the expectation of m**F obeys a binomial bound, and a Markov step
 turns that into the tail P[F >= t] <= 7**n / (2n)**t.  Those building
-blocks are checked exactly at small n and statistically at larger n, and
-they power the search for graphs whose maximal face count stays below the
-factorization threshold D*n/2.
+blocks are exact at any n, from closed forms, and checked statistically
+against sampled matchings; they power the search for graphs whose maximal
+face count stays below the factorization threshold D*n/2.
 """
 
 from __future__ import annotations
@@ -19,11 +19,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .graphs import ColoredGraph, connected_components, count_matchings, random_colored_graph
-from .wick import DEFAULT_NODE_BUDGET, BudgetExceeded, ScalingReport, max_scaling
-
-# |M_8| = 2,027,025 matchings take about 1 s (one core of a 2-core x86 host,
-# Python 3.11); n = 9 would take about 15 s
-DEFAULT_EXACT_CAP = 8
+from .wick import DEFAULT_NODE_BUDGET, ScalingReport, max_scaling
 
 Number = Union[int, float, Fraction]
 
@@ -77,9 +73,9 @@ def _walk_stats(m: Sequence[int]) -> tuple[int, int]:
 class CycleDistribution:
     """Face counts of random matchings against the fixed reference pairing.
 
-    Exact mode enumerates every matching; histograms then hold integer
-    counts out of total = (2n)!/(2^n n!).  Sampled mode holds empirical
-    counts out of total = samples.
+    Exact mode counts every matching, in closed form; histograms then
+    hold integer counts out of total = (2n)!/(2^n n!).  Sampled mode holds
+    empirical counts out of total = samples.
     """
 
     n: int
@@ -133,81 +129,6 @@ class CycleDistribution:
         }
 
 
-def _exact_cycle_stats(n: int) -> tuple[dict[int, int], dict[int, int]]:
-    """(face histogram, reference-cycle half-length histogram), exactly.
-
-    Walks every matching in canonical order (least free vertex first,
-    partners ascending) over a linked free list.  The reference pairs and
-    the pairs chosen so far form paths whose ends are the free vertices:
-    end[v] is the other end of v's path and code[v] is twice its length in
-    reference pairs, plus one if it holds vertex 0.  Pairing u with end[u]
-    closes a face, and k is read off when vertex 0's path closes; pairing u
-    with any other v joins two paths by adding their codes.  The last two
-    levels are scored in closed form: four free vertices end two paths, and
-    of their three completions one closes both and two join them into one
-    face.  Nothing is re-walked; `_walk_stats` serves sampled mode only.
-    """
-    if n == 1:
-        return {1: 1}, {1: 1}
-    two_n = 2 * n
-    face_hist: dict[int, int] = {}
-    k_hist: dict[int, int] = {}
-    end = [v ^ 1 for v in range(two_n)]
-    code = [3, 3] + [2] * (two_n - 2)
-    S = two_n  # sentinel of the doubly linked free list
-    nxt = list(range(1, two_n + 1)) + [0]
-    prv = [S] + list(range(two_n - 1)) + [two_n - 1]
-
-    def rec(remaining: int, faces: int, k: int) -> None:
-        u = nxt[S]
-        if remaining == 2:
-            # the four free vertices end u's path and one other, which a
-            # ends unless a ends u's; (u, end[u]) closes the two apart and
-            # each other partner closes them as one face
-            a = nxt[u]
-            cu = code[u]
-            co = code[a if end[u] != a else nxt[a]]
-            kk = cu >> 1 if cu & 1 else co >> 1 if co & 1 else k
-            face_hist[faces + 2] = face_hist.get(faces + 2, 0) + 1
-            k_hist[kk] = k_hist.get(kk, 0) + 1
-            cu += co
-            kk = cu >> 1 if cu & 1 else k
-            face_hist[faces + 1] = face_hist.get(faces + 1, 0) + 2
-            k_hist[kk] = k_hist.get(kk, 0) + 2
-            return
-        u_next = nxt[u]
-        nxt[S] = u_next
-        prv[u_next] = S
-        v = u_next
-        while v != S:
-            pv_, nv_ = prv[v], nxt[v]
-            nxt[pv_] = nv_
-            prv[nv_] = pv_
-            a = end[u]
-            if a == v:
-                c = code[u]
-                rec(remaining - 1, faces + 1, c >> 1 if c & 1 else k)
-            else:
-                b = end[v]
-                end[a] = b
-                end[b] = a
-                code[a] = code[b] = code[u] + code[v]
-                rec(remaining - 1, faces, k)
-                # end and code of u and v are untouched below: undo from them
-                end[a] = u
-                end[b] = v
-                code[a] = code[u]
-                code[b] = code[v]
-            nxt[pv_] = v
-            prv[nv_] = v
-            v = nv_
-        nxt[S] = u
-        prv[u_next] = u
-
-    rec(n, 0, 0)
-    return face_hist, k_hist
-
-
 def cycle_distribution(
     n: int,
     samples: Optional[int] = None,
@@ -215,23 +136,26 @@ def cycle_distribution(
 ) -> CycleDistribution:
     """Distribution of F against the reference pairing; exact or sampled.
 
-    Without samples the full set of matchings is enumerated, refused past
-    the cap.  With samples, matchings are drawn uniformly from the given
-    seed.
+    Without samples both histograms are exact at any n, from closed forms:
+    the matchings with k faces number the coefficient of x**k in
+    x(x+2)(x+4)...(x+2n-2), and those whose reference cycle holds k pairs
+    number (2n-1)!! p_k.  With samples, matchings are drawn uniformly from
+    the given seed.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     if samples is None:
-        if n > DEFAULT_EXACT_CAP:
-            raise BudgetExceeded(
-                f"exact enumeration over {count_matchings(n)} matchings "
-                f"(n={n}) exceeds the cap n <= {DEFAULT_EXACT_CAP}; "
-                "pass samples to estimate"
-            )
-        face_hist, k_hist = _exact_cycle_stats(n)
-        return CycleDistribution(
-            n, "exact", None, None, face_hist, k_hist, count_matchings(n)
-        )
+        total = count_matchings(n)
+        poly = [1]  # x(x+2)...(x+2i-2), coefficients by ascending power
+        for i in range(n):
+            poly = [a + 2 * i * b for a, b in zip([0] + poly, poly + [0])]
+        face_hist = {k: c for k, c in enumerate(poly) if c}
+        k_hist = {}
+        for k, p in enumerate(closed_form_cycle_probabilities(n), start=1):
+            c = total * p
+            assert c.denominator == 1, f"(2n-1)!! p_{k} is not an integer"
+            k_hist[k] = c.numerator
+        return CycleDistribution(n, "exact", None, None, face_hist, k_hist, total)
     if samples < 1:
         raise ValueError("samples must be positive")
     rng = random.Random(seed)
@@ -259,7 +183,8 @@ class ExpectationBoundReport:
     """E[m**F] for a random matching against the binomial bound C(m+n-1, m-1).
 
     Exact mode carries a Fraction; sampled mode a float with its standard
-    error.  The report also compares C(3n-1, n), the m = 2n instance that
+    error.  In JSON, value is null where it lies past the float range;
+    value_exact still holds it.  The report also compares C(3n-1, n), the m = 2n instance that
     feeds the tail bound, with 7**n and the sharper 27**n/4**n.
     """
 
@@ -281,7 +206,7 @@ class ExpectationBoundReport:
             "n": self.n,
             "m": self.m,
             "mode": self.mode,
-            "value": float(self.value),
+            "value": _float_or_none(self.value),
             "value_exact": str(self.value) if self.mode == "exact" else None,
             "standard_error": self.standard_error,
             "bound": self.bound,
@@ -294,13 +219,20 @@ class ExpectationBoundReport:
         }
 
 
+def _float_or_none(x: Number) -> Optional[float]:
+    try:
+        return float(x)
+    except OverflowError:
+        return None
+
+
 def verify_expectation_bound(
     n: int,
     m: int,
     samples: Optional[int] = None,
     seed: Optional[int] = None,
 ) -> ExpectationBoundReport:
-    """Check E[m**F_n] <= C(m+n-1, m-1); exact below the cap, sampled above."""
+    """Check E[m**F_n] <= C(m+n-1, m-1); exact without samples, else sampled."""
     if m < 2 * n:
         raise ValueError(f"the bound needs m >= 2n, got m={m} < {2 * n}")
     dist = cycle_distribution(n, samples=samples, seed=seed)

@@ -1,4 +1,6 @@
 import json
+import math
+from fractions import Fraction
 
 from click.testing import CliRunner
 
@@ -87,9 +89,28 @@ def test_input_errors_exit_2():
     res = run("melonic", "--inline", '{"D": 1, "vertices": 2, "matchings": 5}')
     assert res.exit_code == 2
     assert "matchings must be a list" in res.stderr
+    res = run("melonic", "--inline", '{"D": 1e400, "vertices": 2, "matchings": [[[0,1]]]}')
+    assert res.exit_code == 2
+    assert "is not an integer" in res.stderr
     # histogram budget refusal
     res = run("expect", "--inline", MELON, "--budget", "1")
     assert res.exit_code == 2
+
+
+def test_mc_bound_past_the_float_range():
+    # E[m^F] is about 5.9e312 here: value is null, value_exact stays exact
+    res = run("mc-bound", "--n", "520", "--m", "1040")
+    assert res.exit_code == 0
+
+    def no_constants(name):
+        raise AssertionError(f"non-finite JSON constant {name}")
+
+    doc = json.loads(res.stdout, parse_constant=no_constants)
+    assert doc["value"] is None
+    value = Fraction(doc["value_exact"])
+    assert value == math.prod(Fraction(1040 + 2 * i, 2 * i + 1) for i in range(520))
+    assert doc["holds"] and value <= doc["bound"]
+    assert "E[m^F] = 5.89068e+312" in res.stderr
 
 
 def test_faces_and_boundary():
@@ -114,6 +135,9 @@ def test_mc_commands():
     res = run("mc-cycles", "--n", "2")
     doc = json.loads(res.stdout)
     assert doc["face_histogram"] == {"1": 2, "2": 1}
+    res = run("mc-cycles", "--n", "9")  # exact, like every n
+    assert res.exit_code == 0
+    assert json.loads(res.stdout)["total"] == 34_459_425
     res = run("mc-cycles", "--n", "3", "--samples", "500", "--seed", "4")
     assert json.loads(res.stdout)["total"] == 500
 

@@ -288,6 +288,17 @@ def test_json_roundtrip_and_diagnostics():
     for bad in ("5", "null"):
         with pytest.raises(GraphFormatError, match="matchings must be a list"):
             graph_from_json(f'{{"D": 1, "vertices": 2, "matchings": {bad}}}')
+    # out-of-range and non-integral numbers are refused, never truncated
+    for D, vertices, pair in (
+        ("1e400", "2", "[0, 1]"),
+        ("1", "1e400", "[0, 1]"),
+        ("1", "2.7", "[0, 1]"),
+        ("1", "2", "[0, 1.9]"),
+    ):
+        with pytest.raises(GraphFormatError, match="is not an integer"):
+            graph_from_json(
+                f'{{"D": {D}, "vertices": {vertices}, "matchings": [[{pair}]]}}'
+            )
     with pytest.raises(GraphFormatError):
         graph_from_json("not json")
 

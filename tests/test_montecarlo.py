@@ -10,7 +10,6 @@ from tensorwick.graphs import (
     ColoredGraph,
     consecutive_pairing,
     copy_pairing,
-    count_matchings,
     disjoint_union,
 )
 from tensorwick.montecarlo import (
@@ -22,7 +21,7 @@ from tensorwick.montecarlo import (
     threshold_report,
     verify_expectation_bound,
 )
-from tensorwick.wick import BudgetExceeded, enumerate_histogram
+from tensorwick.wick import enumerate_histogram
 
 from helpers import cycle_length_histogram, random_connected_graph
 
@@ -37,24 +36,22 @@ def test_exact_distribution_n2():
     assert d.total == 3
 
 
-def test_closed_form_matches_enumeration():
+def test_closed_form_probabilities_sum_and_increase():
     for n in range(1, 7):
-        d = cycle_distribution(n)
         pk = closed_form_cycle_probabilities(n)
-        assert d.p_list == pk  # exact rational equality
         assert sum(pk) == 1
         assert all(pk[i] < pk[i + 1] for i in range(n - 1))
 
 
 def test_cycle_length_histogram_matches_brute_force():
-    # an oracle independent of the closed form that exact mode verifies
-    for n in range(1, 6):
+    # a union-find oracle independent of the closed form of exact mode
+    for n in range(1, 7):
         d = cycle_distribution(n)
         assert d.cycle_length_histogram == cycle_length_histogram(n)
 
 
 def test_face_histogram_cross_checks_pairing_engine():
-    # the cycle enumerator here and the D-colored pairing engine must agree
+    # the closed-form face histogram and the D-colored pairing engine agree
     for n in range(1, 8):
         d = cycle_distribution(n)
         g = ColoredGraph([consecutive_pairing(2 * n)])
@@ -76,8 +73,13 @@ def test_reference_pairing_loses_no_generality():
 
 
 def test_exact_budget():
-    with pytest.raises(BudgetExceeded, match=str(count_matchings(9))):
-        cycle_distribution(9)
+    # exact mode answers at any n, here with 34,459,425 matchings
+    d = cycle_distribution(9)
+    assert d.total == 34_459_425
+    assert sum(d.face_histogram.values()) == d.total
+    # E[m^F] = prod_{i<n} (m+2i)/(2i+1), independent of the coefficients
+    product = math.prod(Fraction(80 + 2 * i, 2 * i + 1) for i in range(40))
+    assert verify_expectation_bound(40, 80).value == product
     with pytest.raises(ValueError):
         cycle_distribution(0)
 
