@@ -3,13 +3,16 @@
 This is the floating-point cross-check of the exact combinatorics: sample
 i.i.d. Gaussian tensors, evaluate the invariant of a graph by contracting
 one tensor copy per vertex along the colored edges, and compare Monte Carlo
-moments against the exact polynomials evaluated at the same N.  Exact
-results stay in integer or rational arithmetic elsewhere; the two worlds
-only ever meet inside statistical tolerances.
+moments against the exact polynomials evaluated at the same N.  Each graph's
+greedy contraction order is planned once, as einsum steps that one code path
+runs on a single tensor and on a batch of samples; every step may name at
+most 52 labels.  Exact results stay in integer or rational arithmetic
+elsewhere; the two worlds only ever meet inside statistical tolerances.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import string
 from dataclasses import dataclass
@@ -41,77 +44,52 @@ def sample_gaussian_tensor(N: int, D: int, nu, seed) -> TensorData:
     return TensorData(N, D, rng.normal(0.0, sigma, size=(N,) * D))
 
 
-def _edge_labels(G: ColoredGraph) -> list[tuple[int, ...]]:
-    """Per vertex, the edge id occupying each of its D index slots."""
-    labels = [[-1] * G.D for _ in range(2 * G.n)]
-    eid = 0
-    for ci, m in enumerate(G.matchings):
-        for u, v in m.pairs:
-            labels[u][ci] = eid
-            labels[v][ci] = eid
-            eid += 1
-    return [tuple(l) for l in labels]
+def _plan(G: ColoredGraph) -> tuple[int, list[tuple[int, int, str]]]:
+    """G's vertex count and greedy pairwise contraction steps, made once per graph.
 
-
-def _contract(fragments: list[tuple[np.ndarray, tuple[int, ...]]], batched: bool):
-    """Greedy pairwise contraction, merging the pair with the smallest result rank.
-
-    Fragment labels are edge ids; the batch axis, when present, is axis 0 of
-    every fragment and survives the whole contraction.  Components without
-    shared labels reduce to scalars that are multiplied at the end.
+    Fragments start as one tensor copy per vertex, labelled by the edge id in
+    each of its D slots.  Each step `(i, j, spec)` merges the two fragments
+    that share a label and give the result of least rank (the first such pair
+    wins ties), removes both and appends the result; components end as
+    scalars, which `_trace` multiplies.  The einsum spec names the step's
+    labels a, b, ... in order of first appearance and writes batch axes as
+    `...`, so one plan serves a tensor and a batch of tensors alike.  A step
+    may name at most 52 labels, with or without a batch axis.
     """
-    letters = string.ascii_letters
-    frags = list(fragments)
+    slots = [[-1] * G.D for _ in range(2 * G.n)]
+    edges = [(ci, pair) for ci, m in enumerate(G.matchings) for pair in m.pairs]
+    for eid, (ci, (u, v)) in enumerate(edges):
+        slots[u][ci] = slots[v][ci] = eid
+    frags = [tuple(s) for s in slots]
+    steps = []
     while True:
-        best = None
-        for i in range(len(frags)):
-            li = frags[i][1]
-            si = set(li)
-            for j in range(i + 1, len(frags)):
-                lj = frags[j][1]
-                shared = si.intersection(lj)
-                if not shared:
-                    continue
-                rank = len(li) + len(lj) - 2 * len(shared)
-                if best is None or rank < best[0]:
-                    best = (rank, i, j, shared)
-        if best is None:
-            break
-        _, i, j, shared = best
-        ai, li = frags[i]
-        aj, lj = frags[j]
-        out_labels = tuple(l for l in li if l not in shared) + tuple(
-            l for l in lj if l not in shared
-        )
-        sym: dict[int, str] = {}
+        merges = [
+            (len(frags[i]) + len(frags[j]) - 2 * len(shared), i, j, shared)
+            for i, j in itertools.combinations(range(len(frags)), 2)
+            if (shared := set(frags[i]).intersection(frags[j]))
+        ]
+        if not merges:
+            return 2 * G.n, steps
+        _, i, j, shared = min(merges, key=lambda m: m[0])
+        li, lj = frags[i], frags[j]
+        out = tuple(l for l in li + lj if l not in shared)
+        names = dict.fromkeys(li + lj)
+        if len(names) > len(string.ascii_letters):
+            raise ValueError("graph too large for dense evaluation")
+        sym = dict(zip(names, string.ascii_letters))
+        sub_i, sub_j, sub_o = ("".join(sym[l] for l in ls) for ls in (li, lj, out))
+        steps.append((i, j, f"...{sub_i},...{sub_j}->...{sub_o}"))
+        frags = [f for k, f in enumerate(frags) if k not in (i, j)] + [out]
 
-        def s(label: int) -> str:
-            if label not in sym:
-                if len(sym) + (1 if batched else 0) >= len(letters):
-                    raise ValueError("graph too large for dense evaluation")
-                sym[label] = letters[len(sym)]
-            return sym[label]
 
-        sub_i = "".join(s(l) for l in li)
-        sub_j = "".join(s(l) for l in lj)
-        sub_o = "".join(s(l) for l in out_labels)
-        if batched:
-            z = letters[-1] if letters[-1] not in sym.values() else None
-            if z is None:
-                raise ValueError("graph too large for dense evaluation")
-            sub_i, sub_j, sub_o = z + sub_i, z + sub_j, z + sub_o
-        merged = np.einsum(f"{sub_i},{sub_j}->{sub_o}", ai, aj)
-        frags = [f for k, f in enumerate(frags) if k not in (i, j)]
-        frags.append((merged, out_labels))
-    if batched:
-        out = None
-        for a, _ in frags:
-            out = a if out is None else out * a
-        return out
-    result = 1.0
-    for a, _ in frags:
-        result *= float(a)
-    return result
+def _trace(plan: tuple[int, list[tuple[int, int, str]]], entries: np.ndarray):
+    """Run a plan on one tensor, or on a batch of them along leading axes."""
+    count, steps = plan
+    frags = [entries] * count
+    for i, j, spec in steps:
+        merged = np.einsum(spec, frags[i], frags[j])
+        frags = [f for k, f in enumerate(frags) if k not in (i, j)] + [merged]
+    return math.prod(frags)
 
 
 def evaluate_trace_invariant(G: ColoredGraph, T: TensorData) -> float:
@@ -123,15 +101,9 @@ def evaluate_trace_invariant(G: ColoredGraph, T: TensorData) -> float:
     """
     if T.D != G.D:
         raise ValueError(f"tensor order {T.D} does not match graph colors {G.D}")
-    labels = _edge_labels(G)
-    frags = [(T.entries, labels[v]) for v in range(2 * G.n)]
-    return _contract(frags, batched=False)
-
-
-def _trace_batch(G: ColoredGraph, batch: np.ndarray) -> np.ndarray:
-    labels = _edge_labels(G)
-    frags = [(batch, labels[v]) for v in range(2 * G.n)]
-    return _contract(frags, batched=True)
+    if T.entries.shape != (T.N,) * T.D:
+        raise ValueError(f"entries shape {T.entries.shape} is not {(T.N,) * T.D}")
+    return float(_trace(_plan(G), T.entries))
 
 
 def orthogonal_invariance_check(
@@ -142,19 +114,22 @@ def orthogonal_invariance_check(
     Returns |Tr(T') - Tr(T)| / |Tr(T)| for a Gaussian T, resampling in the
     (measure-zero) event that the invariant is numerically degenerate.
     """
+    if N < 1:
+        raise ValueError("need N >= 1")
+    plan = _plan(G)
     rng = np.random.default_rng(seed)
     D = G.D
     for _ in range(max_retries):
-        T = TensorData(N, D, rng.standard_normal((N,) * D))
-        base = evaluate_trace_invariant(G, T)
+        entries = rng.standard_normal((N,) * D)
+        base = float(_trace(plan, entries))
         if abs(base) < 1e-30:
             continue
-        rotated = T.entries
+        rotated = entries
         for axis in range(D):
             q, r = np.linalg.qr(rng.standard_normal((N, N)))
             q = q * np.where(np.diag(r) < 0, -1.0, 1.0)
             rotated = np.moveaxis(np.tensordot(q, rotated, axes=(1, axis)), 0, axis)
-        turned = evaluate_trace_invariant(G, TensorData(N, D, rotated))
+        turned = float(_trace(plan, rotated))
         return abs(turned - base) / abs(base)
     raise RuntimeError("invariant degenerate on every retry")
 
@@ -201,6 +176,9 @@ def mc_moment(
             raise ValueError(f"graph {i} has {g.D} colors, expected {D}")
     if samples < 2:
         raise ValueError("need at least two samples for a standard error")
+    if N < 1:
+        raise ValueError("need N >= 1")
+    plans = [_plan(g) for g in graphs]
     nu = Fraction(nu)
     sigma = float(N) ** (-float(nu) / 2.0)
     root = np.random.SeedSequence(seed)
@@ -214,8 +192,8 @@ def mc_moment(
         rng = np.random.default_rng(children[b])
         draw = rng.normal(0.0, sigma, size=(size,) + (N,) * D)
         vals = np.ones(size)
-        for g in graphs:
-            vals = vals * _trace_batch(g, draw)
+        for plan in plans:
+            vals = vals * _trace(plan, draw)
         total += float(vals.sum())
         total_sq += float(vals @ vals)
         done += size

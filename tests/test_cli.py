@@ -95,6 +95,14 @@ def test_input_errors_exit_2():
     # histogram budget refusal
     res = run("expect", "--inline", MELON, "--budget", "1")
     assert res.exit_code == 2
+    # a dimension below 1 is an input error, not a negative verdict
+    dipole = "3 1 | 0-1 ; 0-1 ; 0-1"
+    res = run("mc-moment", "--inline", dipole, "--dim", "0", "--samples", "10")
+    assert res.exit_code == 2
+    assert "need N >= 1" in res.stderr
+    res = run("invariance", "--inline", dipole, "--dim", "0")
+    assert res.exit_code == 2
+    assert "need N >= 1" in res.stderr
 
 
 def test_mc_bound_past_the_float_range():

@@ -68,6 +68,9 @@ def test_trace_against_naive_index_sum():
         (spec_quartic_melon(), 4),
         (random_colored_graph(3, 2, seed=7), 5),
         (random_colored_graph(2, 3, seed=8), 6),
+        # components reduce to scalars multiplied at the end
+        (disjoint_union(random_colored_graph(3, 1, 1), random_colored_graph(3, 2, 2)), 9),
+        (random_colored_graph(1, 3, seed=10), 11),
     ]
     for g, seed in cases:
         T = sample_gaussian_tensor(2, g.D, 0, seed)
@@ -80,6 +83,24 @@ def test_trace_order_mismatch():
     T = sample_gaussian_tensor(2, 2, 1, seed=0)
     with pytest.raises(ValueError):
         evaluate_trace_invariant(new_dipole(3), T)
+    # entries that do not have D axes of length N: a wrong length, and an
+    # extra axis that a batched contraction would read as a batch
+    for shape in [(3, 3, 4), (2, 3, 3, 3)]:
+        with pytest.raises(ValueError, match="entries shape"):
+            evaluate_trace_invariant(new_dipole(3), TensorData(3, 3, np.ones(shape)))
+
+
+def test_per_step_letter_limit():
+    # a dipole on D colors contracts in one step naming D labels; 52 fit,
+    # with or without the batch axis of mc_moment
+    ones = TensorData(1, 52, np.ones((1,) * 52))
+    assert evaluate_trace_invariant(new_dipole(52), ones) == 1.0
+    est = mc_moment([new_dipole(52)], 1, 0, 4, seed=0)
+    assert est.sample_count == 4 and est.mean > 0.0
+    with pytest.raises(ValueError, match="too large"):
+        evaluate_trace_invariant(new_dipole(53), TensorData(1, 53, np.ones((1,) * 53)))
+    with pytest.raises(ValueError, match="too large"):
+        mc_moment([new_dipole(53)], 1, 0, 4, seed=0)
 
 
 def test_orthogonal_invariance():
@@ -164,3 +185,8 @@ def test_mc_moment_validation():
         mc_moment([new_dipole(2), new_dipole(3)], 2, 2, 100, seed=0)
     with pytest.raises(ValueError):
         mc_moment([new_dipole(3)], 2, 2, 1, seed=0)
+    for N in (0, -1):
+        with pytest.raises(ValueError, match="need N >= 1"):
+            mc_moment([new_dipole(3)], N, 2, 100, seed=0)
+        with pytest.raises(ValueError, match="need N >= 1"):
+            orthogonal_invariance_check(new_dipole(3), N, seed=0)
