@@ -1,4 +1,11 @@
-"""Exact Wick-pairing combinatorics and Monte Carlo checks for Gaussian random tensors."""
+"""Exact Wick-pairing combinatorics and Monte Carlo checks for Gaussian random tensors.
+
+Every module but `numeric` is imported here.  `numeric`, and numpy with it,
+loads on first use of `tensorwick.numeric` or of one of its names, so the
+exact paths and most CLI commands never import numpy.
+"""
+
+import importlib as _importlib
 
 from .faces import (
     EulerReport,
@@ -40,14 +47,6 @@ from .montecarlo import (
     threshold_report,
     verify_expectation_bound,
 )
-from .numeric import (
-    MomentEstimate,
-    TensorData,
-    evaluate_trace_invariant,
-    mc_moment,
-    orthogonal_invariance_check,
-    sample_gaussian_tensor,
-)
 from .partitions import (
     SetPartition,
     bell_number,
@@ -70,4 +69,24 @@ from .wick import (
     subadditivity_check,
 )
 
+_NUMERIC_NAMES = (
+    "MomentEstimate",
+    "TensorData",
+    "evaluate_trace_invariant",
+    "mc_moment",
+    "orthogonal_invariance_check",
+    "sample_gaussian_tensor",
+)
+
+
+def __getattr__(name):
+    # import_module, not `from . import numeric`: the latter asks the package
+    # for the attribute first, which would call this function again
+    if name == "numeric" or name in _NUMERIC_NAMES:
+        numeric = _importlib.import_module(".numeric", __name__)
+        return numeric if name == "numeric" else getattr(numeric, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 __all__ = [name for name in dir() if not name.startswith("_")]
+__all__ += ["numeric", *_NUMERIC_NAMES]

@@ -26,7 +26,6 @@ import click
 from . import faces as faces_mod
 from . import graphs as graphs_mod
 from . import montecarlo as mc_mod
-from . import numeric as num_mod
 from . import wick as wick_mod
 
 
@@ -381,7 +380,9 @@ def search(d, n, trials, budget, csv, seed):
 @_seed_opt
 def mc_moment(gs, dim, nu, samples, seed):
     """Monte Carlo joint moment of the invariants of the given graphs."""
-    est = num_mod.mc_moment(gs, dim, _parse_nu(nu, gs[0].D), samples, seed)
+    from . import numeric  # the only commands that need numpy import it here
+
+    est = numeric.mc_moment(gs, dim, _parse_nu(nu, gs[0].D), samples, seed)
     _emit(est.to_json_dict(), f"mean {est.mean:.6g} +- {est.standard_error:.2g}")
 
 
@@ -390,7 +391,9 @@ def mc_moment(gs, dim, nu, samples, seed):
 @_seed_opt
 def invariance(g, dim, seed):
     """Relative change of the invariant under random orthogonal rotations."""
-    dev = num_mod.orthogonal_invariance_check(g, dim, seed)
+    from . import numeric
+
+    dev = numeric.orthogonal_invariance_check(g, dim, seed)
     _emit({"relative_deviation": dev}, f"relative deviation {dev:.3e}")
 
 

@@ -235,6 +235,8 @@ def verify_expectation_bound(
     """Check E[m**F_n] <= C(m+n-1, m-1); exact without samples, else sampled."""
     if m < 2 * n:
         raise ValueError(f"the bound needs m >= 2n, got m={m} < {2 * n}")
+    if samples is not None and samples < 2:
+        raise ValueError("need at least two samples for a standard error")
     dist = cycle_distribution(n, samples=samples, seed=seed)
     value = dist.expectation_m_power(m)
     stderr = None

@@ -178,6 +178,8 @@ def mc_moment(
         raise ValueError("need at least two samples for a standard error")
     if N < 1:
         raise ValueError("need N >= 1")
+    if batch_size < 1:
+        raise ValueError("need batch_size >= 1")
     plans = [_plan(g) for g in graphs]
     nu = Fraction(nu)
     sigma = float(N) ** (-float(nu) / 2.0)

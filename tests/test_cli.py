@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 from click.testing import CliRunner
 
@@ -103,6 +107,9 @@ def test_input_errors_exit_2():
     res = run("invariance", "--inline", dipole, "--dim", "0")
     assert res.exit_code == 2
     assert "need N >= 1" in res.stderr
+    res = run("mc-bound", "--n", "3", "--m", "6", "--samples", "1")
+    assert res.exit_code == 2
+    assert "at least two samples" in res.stderr
 
 
 def test_mc_bound_past_the_float_range():
@@ -333,6 +340,30 @@ PUBLIC_API = [
 
 def test_public_api_is_pinned():
     assert sorted(tensorwick.__all__) == PUBLIC_API
+
+
+# runs in a fresh interpreter: pytest's own process may have numpy loaded
+LAZY_NUMERIC = """
+import sys
+import tensorwick, tensorwick.cli
+tensorwick.cli.main(["thresholds", "--d", "3"], standalone_mode=False)
+assert "numpy" not in sys.modules, "numpy loaded without a numeric command"
+assert tensorwick.mc_moment is tensorwick.numeric.mc_moment
+names = {}
+exec("from tensorwick import *", names)
+missing = set(tensorwick.__all__) - set(names)
+assert not missing, missing
+"""
+
+
+def test_numpy_loads_only_with_numeric():
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    res = subprocess.run(
+        [sys.executable, "-c", LAZY_NUMERIC], env=env, capture_output=True, text=True
+    )
+    assert res.returncode == 0, res.stderr
 
 
 def _args_from_config(config):

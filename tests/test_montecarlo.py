@@ -135,6 +135,10 @@ def test_sampled_expectation_bound():
     assert rep.mode == "sample"
     assert rep.standard_error is not None
     assert rep.value <= rep.bound + 5 * rep.standard_error
+    # one sample has no standard error; one sampled distribution is still fine
+    with pytest.raises(ValueError, match="at least two samples"):
+        verify_expectation_bound(3, 6, samples=1, seed=0)
+    assert cycle_distribution(3, samples=1, seed=0).total == 1
 
 
 def test_threshold_examples():

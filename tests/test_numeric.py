@@ -190,3 +190,7 @@ def test_mc_moment_validation():
             mc_moment([new_dipole(3)], N, 2, 100, seed=0)
         with pytest.raises(ValueError, match="need N >= 1"):
             orthogonal_invariance_check(new_dipole(3), N, seed=0)
+    # a batch below one would draw nothing (a mean of 0.0) or crash
+    for batch_size in (-20, -1, 0):
+        with pytest.raises(ValueError, match="need batch_size >= 1"):
+            mc_moment([new_dipole(3)], 2, 2, 10, seed=0, batch_size=batch_size)
