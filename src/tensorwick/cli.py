@@ -278,9 +278,12 @@ def subadd(gs, budget):
 def factorize(g, nu, budget):
     """Does the squared invariant factorize at large N?  Exit 1 if it does not."""
     rep = wick_mod.factorization_verdict(g, nu=_parse_nu(nu, g.D), node_budget=budget)
+    verdict = "factorizes" if rep.factorizes else "DOES NOT factorize"
+    value = "the exact maximum" if rep.pair_exact else "a lower bound"
     _emit(
         rep.to_json_dict(),
-        "factorizes" if rep.factorizes else "DOES NOT factorize",
+        f"{verdict}: single F_max {rep.single_F_max}, certificate pairing of "
+        f"G u G closes {rep.pair_connected_F_max} faces ({value})",
         0 if rep.factorizes else 1,
     )
 

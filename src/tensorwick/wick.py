@@ -14,10 +14,13 @@ arrays so each extension costs O(D).  The last two levels need no splice:
 the last pair's vertices are the ends of every color's remaining path, so
 it closes exactly D faces, and each of the three ways to pair the least of
 four free vertices is scored from the boundary arrays alone.  Given a node
-budget, the same walk becomes a branch and bound that prunes with the
-admissible bound closed + D * remaining_pairs and therefore never misses
+budget, the same walk becomes a branch and bound.  It prunes with the
+admissible degree bound closed + (D-1) * remaining_pairs + q_B, where q_B
+counts the components of the boundary graph, and therefore never misses
 ties, which lets it count every optimal pairing and report the
-lexicographically least witness.
+lexicographically least witness.  Given a target as well, it is a decision
+search that stops at the first pairing reaching the target; the
+factorization verdict asks its pair question that way.
 """
 
 from __future__ import annotations
@@ -28,7 +31,13 @@ from functools import reduce
 from typing import Optional, Sequence
 
 from .faces import scaling_defect
-from .graphs import ColoredGraph, Matching, count_matchings, disjoint_union
+from .graphs import (
+    ColoredGraph,
+    Matching,
+    copy_pairing,
+    count_matchings,
+    disjoint_union,
+)
 
 # refuse exhaustive sums past |M_10| = 654,729,075; a D = 3 histogram takes
 # about 1.6 s at n = 8, 29 s at n = 9 and 9 minutes at n = 10 (extrapolated
@@ -41,6 +50,10 @@ class BudgetExceeded(RuntimeError):
     """An exact computation was refused or truncated because of its size."""
 
 
+class _Hit(Exception):
+    """Unwinds a decision search from its first leaf that meets the target."""
+
+
 # ---------------------------------------------------------------------------
 # enumeration engine
 
@@ -51,6 +64,7 @@ def _scan(
     q: int,
     connected_only: bool,
     node_budget: Optional[int] = None,
+    target: Optional[int] = None,
 ) -> tuple[dict[int, int], Optional[list[tuple[int, int]]], bool]:
     """Depth-first walk over the perfect pairings, in lexicographic order.
 
@@ -62,10 +76,24 @@ def _scan(
     Without node_budget every pairing is visited and counts is the full
     histogram; with connected_only, subtrees that can no longer join every
     component are skipped.  With a budget, every level of the walk counts
-    as a node and subtrees with closed + D * remaining < best are pruned.
-    Ties are never pruned, so the top bin of counts is the number of
+    as a node and a subtree is pruned when even its best completion falls
+    short of best: first by closed + D * remaining < best, then, above the
+    last two levels, by the degree bound closed + (D-1) * remaining + q_B <
+    best.  q_B is the number of components of the boundary graph, the free
+    vertices joined by every color's path endpoints; each such component
+    with the r_i pairs inside it closes at most 1 + (D-1) * r_i faces
+    (Gurau's degree bound, arXiv:1011.2726), and q_B <= remaining, so the
+    second test only sharpens the first.  q_B is counted only while it can
+    still prune, i.e. up to slack = best - closed - (D-1) * remaining.
+    Neither bound prunes a tie, so the top bin of counts is the number of
     maximizing pairings.  When the budget runs out the walk stops short and
     exact is False.
+
+    With a target (which needs a budget) the walk is a decision search:
+    best starts at target, so the bounds prune every subtree that cannot
+    reach it, and the walk stops at the first counted leaf, returning it as
+    witness with counts {F: 1}.  A walk that finds none returns ({}, None,
+    exact).
 
     The last two levels are scored in closed form, without splicing or
     recursing.  Each completion still counts as two nodes, its pair (u, v)
@@ -76,10 +104,13 @@ def _scan(
     D = len(partners)
     two_n = len(partners[0])
     bounded = node_budget is not None
+    decide = target is not None
     if two_n == 2:
         # one pairing closing D faces; the walk is a root and a leaf node
         if bounded and node_budget < 2:
             return {}, None, False
+        if decide and D < target:
+            return {}, None, True
         return {D: 1}, [(0, 1)], True
     bnd = [list(p) for p in partners]
     S = two_n  # sentinel of the doubly linked free list
@@ -90,9 +121,11 @@ def _scan(
     mate = [0] * two_n  # mate[u] for the least free vertex u of each level
     counts: dict[int, int] = {}
     witness = None
-    best = -1
+    best = target if decide else -1
     nodes = 0
     exact = True
+    seen = [0] * two_n  # seen[x] == stamp marks x as reached by this q_B count
+    stamp = 0
 
     def find(c: int) -> int:
         while par[c] != c:
@@ -100,19 +133,42 @@ def _scan(
         return c
 
     def rec(remaining: int, closed: int, live: int) -> None:
-        nonlocal nodes, exact, best, witness
+        nonlocal nodes, exact, best, witness, stamp
+        u = nxt[S]
         if bounded:
             nodes += 1
             if nodes > node_budget:
                 exact = False
                 return
-            if closed + D * remaining < best:
+            slack = best - closed - (D - 1) * remaining
+            if slack > remaining:  # closed + D * remaining < best
                 return
+            if slack > 1 and remaining > 2:
+                # count boundary components until there are slack of them
+                stamp += 1
+                qb = 0
+                x = u
+                while x != S:
+                    if seen[x] != stamp:
+                        qb += 1
+                        if qb == slack:
+                            break
+                        seen[x] = stamp
+                        stack = [x]
+                        while stack:
+                            y = stack.pop()
+                            for bc in bnd:
+                                z = bc[y]
+                                if seen[z] != stamp:
+                                    seen[z] = stamp
+                                    stack.append(z)
+                    x = nxt[x]
+                if qb < slack:
+                    return
         elif live > remaining:
             # each pair but the last merges at most one union-find set, so
             # no pairing below joins every component
             return
-        u = nxt[S]
         if remaining == 2:
             # Free vertices u < a < b < c.  Pairing (u, v) closes the colors
             # with bc[u] == v; the last pair is then joined by every color's
@@ -150,7 +206,7 @@ def _scan(
                 if live > 1 and (live > 2 or find(comp_ids[v]) == ru):
                     continue
                 counts[f] = counts.get(f, 0) + 1
-                if f > best:
+                if f > best or decide:
                     best = f
                     mate[u] = v
                     y, z = [w for w in (a, b, c) if w != v]
@@ -161,6 +217,8 @@ def _scan(
                         if not paired[w]:
                             paired[mate[w]] = True
                             witness.append((w, mate[w]))
+                    if decide:
+                        raise _Hit
             return
         u_next = nxt[u]
         nxt[S] = u_next
@@ -208,7 +266,10 @@ def _scan(
         nxt[S] = u
         prv[u_next] = u
 
-    rec(two_n // 2, 0, q if connected_only else 1)
+    try:
+        rec(two_n // 2, 0, q if connected_only else 1)
+    except _Hit:
+        pass
     return counts, witness, exact
 
 
@@ -554,9 +615,18 @@ class FactorizationReport:
     """Leading-exponent comparison: connected square versus squared expectation.
 
     factorizes is True when the connected part of <Tr^2> is strictly smaller
-    in scaling than <Tr>^2.  The leading exponents are F_max - nu*n shifts of
-    the corresponding polynomials; only maxima are needed, so the search
-    engine is used instead of full histograms.
+    in scaling than <Tr>^2, i.e. when no pairing of G u G that joins both
+    copies closes 2 * single_F_max faces.  single_F_max is exact.  The pair
+    side is settled by a certificate: pair_witness, a connected pairing of
+    G u G closing pair_connected_F_max faces.  When the graph does not
+    factorize it closes at least 2 * single_F_max; when it does, it is the
+    copy pairing (D * n faces) and a search proved that none reaches
+    2 * single_F_max.  pair_connected_F_max is therefore a lower bound on
+    the connected maximum, at least D * n, and pair_exact says whether it is
+    proven to be that maximum (only when the search found nothing at
+    2 * single_F_max and D * n is one below).  cumulant_leading is pair_connected_F_max -
+    2 * nu * n, so it too is a lower bound; the exact pair maximum is
+    max_scaling(disjoint_union(G, G), connected_only=True).
     """
 
     factorizes: bool
@@ -565,6 +635,8 @@ class FactorizationReport:
     pair_connected_F_max: int
     single_F_max: int
     nu: Fraction
+    pair_witness: Matching
+    pair_exact: bool
 
     def to_json_dict(self) -> dict:
         return {
@@ -574,24 +646,47 @@ class FactorizationReport:
             "pair_connected_F_max": self.pair_connected_F_max,
             "single_F_max": self.single_F_max,
             "nu": str(self.nu),
+            "pair_witness": [list(p) for p in self.pair_witness.pairs],
+            "pair_exact": self.pair_exact,
         }
 
 
 def factorization_verdict(
     G: ColoredGraph, nu=None, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> FactorizationReport:
-    """Does <Tr^2> factorize into <Tr><Tr> at leading order in N?"""
+    """Does <Tr^2> factorize into <Tr><Tr> at leading order in N?
+
+    F_max(G) is computed exactly; the pair side is a decision search for a
+    connected pairing of G u G with at least T = 2 * F_max(G) faces.  The
+    copy pairing closes D * n, so D * n >= T settles it without a search.
+    Otherwise the search runs under node_budget, and a truncated search
+    raises BudgetExceeded.
+    """
     if not G.is_connected:
         raise ValueError("factorization verdicts are stated for connected graphs")
     nu = _default_nu(G, nu)
     single = max_scaling(G, node_budget=node_budget)
-    pair = max_scaling(
-        disjoint_union(G, G), connected_only=True, node_budget=node_budget
-    )
-    if not (single.exact and pair.exact):
+    if not single.exact:
         raise BudgetExceeded("scaling search truncated; verdict would be unsound")
-    cum_lead = Fraction(pair.F_max) - nu * (2 * G.n)
+    target = 2 * single.F_max
+    pair_F, witness, pair_exact = G.D * G.n, copy_pairing(2 * G.n), False
+    if pair_F < target:
+        union = disjoint_union(G, G)
+        comp_ids, q = union.component_ids()
+        counts, hit, complete = _scan(
+            union.partner_arrays(), comp_ids, q, True, node_budget, target
+        )
+        if not complete:
+            raise BudgetExceeded("scaling search truncated; verdict would be unsound")
+        if hit is not None:
+            (pair_F,) = counts
+            witness = Matching(hit, 4 * G.n)
+        else:
+            # no connected pairing reaches target, so the copy pairing's
+            # D * n is the maximum when it is one below
+            pair_exact = pair_F == target - 1
+    cum_lead = Fraction(pair_F) - nu * (2 * G.n)
     prod_lead = 2 * (Fraction(single.F_max) - nu * G.n)
     return FactorizationReport(
-        cum_lead < prod_lead, cum_lead, prod_lead, pair.F_max, single.F_max, nu
+        pair_F < target, cum_lead, prod_lead, pair_F, single.F_max, nu, witness, pair_exact
     )

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tensorwick.faces import total_faces
 from tensorwick.graphs import (
     Matching,
     count_matchings,
@@ -16,6 +17,7 @@ from tensorwick.graphs import (
     random_melonic_graph,
 )
 from tensorwick.wick import (
+    DEFAULT_NODE_BUDGET,
     BudgetExceeded,
     ExpectationPoly,
     cumulant_poly,
@@ -25,12 +27,14 @@ from tensorwick.wick import (
     lemma_condition,
     max_scaling,
     subadditivity_check,
+    _scan,
 )
 
 from helpers import (
     brute_histogram,
     catalan,
     faces_of,
+    joined_connected,
     random_connected_graph,
     spec_quartic_melon,
     two_color_cycle,
@@ -214,8 +218,8 @@ def test_parallel_equals_sequential():
     # also when the node budget binds and the report is only a lower bound
     g = random_colored_graph(3, 8, seed=2)
     for budget, F_max, num_optimal, witness in (
-        (2000, 12, 3, [(0, 1), (2, 3), (4, 9), (5, 11), (6, 15), (7, 14), (8, 10), (12, 13)]),
-        (20000, 13, 6, [(0, 1), (2, 10), (3, 8), (4, 9), (5, 13), (6, 15), (7, 14), (11, 12)]),
+        (2000, 13, 6, [(0, 1), (2, 10), (3, 8), (4, 9), (5, 13), (6, 15), (7, 14), (11, 12)]),
+        (5000, 14, 1, [(0, 6), (1, 4), (2, 13), (3, 8), (5, 14), (7, 10), (9, 15), (11, 12)]),
     ):
         seq = max_scaling(g, threads=1, node_budget=budget)
         par = max_scaling(g, threads=2, node_budget=budget)
@@ -267,6 +271,58 @@ def test_truncated_reports_inside_the_last_two_levels():
             F_max, num_optimal, exact, witness = expected
             assert (rep.F_max, rep.num_optimal, rep.exact) == (F_max, num_optimal, exact)
             assert rep.witness == Matching(witness, 2 * g.n)
+
+
+# every shape of total n 5 or 6, where the degree bound prunes: one graph,
+# or a union that the connected search must join
+bound_sizes = st.sampled_from([(5,), (6,), (1, 4), (2, 3), (2, 4), (3, 3), (1, 2, 3), (2, 2, 2)])
+
+
+@given(st.integers(1, 6), bound_sizes, st.integers(0, 10**6), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_degree_bound_keeps_the_top_bin(D, sizes, seed, connected_only):
+    g = graph_of_parts(D, sizes, seed)
+    counts = enumerate_histogram(g, connected_only=connected_only).counts
+    rep = max_scaling(g, connected_only=connected_only)
+    top = max(counts)
+    assert rep.exact and (rep.F_max, rep.num_optimal) == (top, counts[top])
+    assert faces_of(g, rep.witness.pairs) == top
+
+
+@given(st.integers(1, 4), part_sizes, st.integers(0, 10**6), st.booleans(), st.integers(-1, 1))
+@settings(max_examples=60, deadline=None)
+def test_decision_search_meets_its_target(D, sizes, seed, connected_only, offset):
+    # the internal decision mode behind factorization_verdict stops at the
+    # first pairing reaching the target, and finds one iff the maximum does
+    g = graph_of_parts(D, sizes, seed)
+    hist = brute_histogram(g, connected_only=connected_only)
+    target = max(hist) + offset
+    comp_ids, q = g.component_ids()
+    counts, hit, exact = _scan(
+        g.partner_arrays(), comp_ids, q, connected_only, DEFAULT_NODE_BUDGET, target
+    )
+    assert exact
+    if offset > 0:
+        assert counts == {} and hit is None
+        return
+    (F,) = counts
+    assert counts[F] == 1 and F >= target
+    assert faces_of(g, hit) == F
+    if connected_only:
+        assert joined_connected(g, hit)
+
+
+def test_node_counts_of_the_bounded_search():
+    # the least budget at which each search finishes: a weaker bound raises
+    # these, so a pruning regression fails here while timing noise does not
+    # (the bound closed + D * remaining needed 1,408,169 nodes for the first)
+    g = random_colored_graph(3, 10, seed=2)
+    assert max_scaling(g, node_budget=7046).exact
+    assert not max_scaling(g, node_budget=7045).exact
+    g = random_connected_graph(3, 6, seed=2)
+    assert factorization_verdict(g, node_budget=26212).factorizes
+    with pytest.raises(BudgetExceeded):
+        factorization_verdict(g, node_budget=26211)
 
 
 def test_max_scaling_beyond_histogram_cap():
@@ -343,15 +399,43 @@ def test_melonic_family_inequality_strict():
     assert rep.strict_subadditive
 
 
-def test_factorization_examples():
-    rep = factorization_verdict(spec_quartic_melon(), nu=2)
-    assert rep.factorizes
-    assert rep.cumulant_leading == Fraction(-1)
-    assert rep.product_leading == Fraction(2)
+def check_certificate(g, rep):
+    # a perfect matching of G u G that joins both copies and closes the
+    # reported faces, at least the copy pairing's D*n, and at least
+    # 2*F_max(G) exactly when G does not factorize
+    union = disjoint_union(g, g)
+    fc = total_faces(rep.pair_witness, union)
+    assert rep.pair_witness.is_perfect and rep.pair_witness.ground_size == 4 * g.n
+    assert fc.g_connected
+    assert fc.total == rep.pair_connected_F_max >= g.D * g.n
+    assert (fc.total >= 2 * rep.single_F_max) == (not rep.factorizes)
+    assert rep.cumulant_leading == rep.pair_connected_F_max - rep.nu * 2 * g.n
 
-    rep = factorization_verdict(new_dipole(3), nu=2)
+
+def test_factorization_examples():
+    melon = spec_quartic_melon()
+    rep = factorization_verdict(melon, nu=2)
     assert rep.factorizes
-    assert rep.cumulant_leading == Fraction(-1)
+    assert rep.product_leading == Fraction(2)
+    assert rep.cumulant_leading <= Fraction(-1)
+    check_certificate(melon, rep)
+    exact = max_scaling(disjoint_union(melon, melon), connected_only=True)
+    assert exact.F_max - 2 * 2 * melon.n == -1
+
+    dipole = new_dipole(3)
+    rep = factorization_verdict(dipole, nu=2)
+    assert rep.factorizes and not rep.pair_exact
+    assert rep.cumulant_leading <= Fraction(-1)
+    check_certificate(dipole, rep)
+    exact = max_scaling(disjoint_union(dipole, dipole), connected_only=True)
+    assert exact.F_max - 2 * 2 * dipole.n == -1
+
+    # D = 1: the copy pairing's face is one below 2 * F_max = 2 and the
+    # search finds none at 2, so the certificate is the maximum
+    rep = factorization_verdict(new_dipole(1), nu=0)
+    assert rep.factorizes and rep.pair_exact
+    assert rep.cumulant_leading == Fraction(1)
+    check_certificate(new_dipole(1), rep)
 
     with pytest.raises(ValueError):
         factorization_verdict(disjoint_union(new_dipole(3), new_dipole(3)))
@@ -376,11 +460,28 @@ def test_factorization_agrees_with_lemma_condition():
 
 
 def test_factorization_verdict_equals_histogram_route():
-    # leading exponents from branch and bound match the full polynomials
+    # the verdict and the product exponent match the full polynomials; the
+    # cumulant exponent is a certified lower bound on the polynomial's
     for seed in range(5):
         g = random_connected_graph(3, 2, seed)
         rep = factorization_verdict(g, nu=2)
         pair = cumulant_poly(disjoint_union(g, g), nu=2)
         single = expectation_poly(g, nu=2)
-        assert rep.cumulant_leading == pair.leading_exponent()
         assert rep.product_leading == 2 * single.leading_exponent()
+        assert rep.cumulant_leading <= pair.leading_exponent()
+        assert rep.factorizes == (pair.leading_exponent() < rep.product_leading)
+        check_certificate(g, rep)
+
+
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 10**6))
+@settings(max_examples=40, deadline=None)
+def test_factorization_verdict_matches_exact_pair_maximum(D, n, seed):
+    g = random_connected_graph(D, 1 if D == 1 else n, seed)
+    rep = factorization_verdict(g)
+    pair = max_scaling(disjoint_union(g, g), connected_only=True)
+    assert rep.single_F_max == max_scaling(g).F_max
+    assert rep.factorizes == (pair.F_max < 2 * rep.single_F_max)
+    assert rep.pair_connected_F_max <= pair.F_max
+    if rep.pair_exact:
+        assert rep.pair_connected_F_max == pair.F_max
+    check_certificate(g, rep)
