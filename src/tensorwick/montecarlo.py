@@ -7,7 +7,7 @@ form, the expectation of m**F obeys a binomial bound, and a Markov step
 turns that into the tail P[F >= t] <= 7**n / (2n)**t.  Those building
 blocks are exact at any n, from closed forms, and checked statistically
 against sampled matchings; they power the search for graphs whose maximal
-face count stays below the factorization threshold D*n/2.
+face count does not exceed the factorization threshold D*n/2.
 """
 
 from __future__ import annotations
@@ -378,7 +378,7 @@ class ViolationRecord:
 class SearchReport:
     """Outcome of sampling random graphs and maximizing their face counts.
 
-    lemma_violations lists graphs with F_max < D*n/2 (at least one component
+    lemma_violations lists graphs with F_max <= D*n/2 (at least one component
     then violates its own threshold, which the component verdicts spell
     out); a_bound_violations lists graphs below the softer a_threshold.
     Trials whose search hit the node budget are only counted, never
@@ -411,9 +411,9 @@ def counterexample_search(
     """Sample uniform D-colored graphs on 2n vertices and test the threshold.
 
     Every trial gets an exact maximal face count (truncated searches are
-    skipped and tallied separately).  A graph with F_max < D*n/2 disproves
-    factorization: its connected square then beats its squared expectation
-    in scaling for at least one component.  As a sanity envelope, every
+    skipped and tallied separately).  A graph with F_max <= D*n/2 disproves
+    factorization: for some component, the connected square then scales at
+    least like the squared expectation.  As a sanity envelope, every
     component must respect F_max <= 1 + (D-1) n within itself.  Trial t
     draws its graph with the string seed f"{seed}:{t}", so no two
     (seed, trial) pairs share a random stream, negative seeds included.
@@ -442,11 +442,11 @@ def counterexample_search(
         for (cg, _), crep in zip(comps, creps):
             bound = Fraction(cg.D * cg.n, 2)
             verdicts.append(
-                ComponentVerdict(cg.n, crep.F_max, bound, crep.F_max < bound)
+                ComponentVerdict(cg.n, crep.F_max, bound, crep.F_max <= bound)
             )
             if crep.F_max > 1 + (cg.D - 1) * cg.n:
                 envelope_ok = False
-        if rep.F_max < Fraction(D * n, 2):
+        if rep.F_max <= Fraction(D * n, 2):
             lemma_hits.append(ViolationRecord(trial, g, rep, tuple(verdicts)))
         if rep.F_max < a_bound:
             a_hits.append(trial)

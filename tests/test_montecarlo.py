@@ -21,7 +21,7 @@ from tensorwick.montecarlo import (
     threshold_report,
     verify_expectation_bound,
 )
-from tensorwick.wick import enumerate_histogram
+from tensorwick.wick import enumerate_histogram, factorization_verdict, lemma_condition
 
 from helpers import cycle_length_histogram, random_connected_graph
 
@@ -221,9 +221,22 @@ def test_counterexample_search_envelope_at_n6():
     for violation in rep.lemma_violations:  # none exist at desk scale
         for comp in violation.components:
             if comp.violates:
-                assert comp.F_max < comp.bound
+                assert comp.F_max <= comp.bound
     a_count = len(rep.a_bound_violations)
     assert a_count == 50  # a_threshold(3, 6) ~ 27.6 dwarfs every observed F
+
+
+def test_counterexample_search_lists_graphs_at_the_threshold():
+    # F_max = D*n/2 violates the threshold: the copy pairing of G u G then
+    # ties 2 * F_max, so neither the lemma nor factorization holds
+    rep = counterexample_search(4, 10, trials=20, seed=1)
+    assert [v.trial for v in rep.lemma_violations] == [5, 7, 16]
+    for v in rep.lemma_violations:
+        (comp,) = v.components
+        assert v.graph.is_connected and comp.violates
+        assert v.scaling.F_max == comp.F_max == comp.bound == 20
+        assert not lemma_condition(v.graph).holds
+        assert not factorization_verdict(v.graph).factorizes
 
 
 def test_self_pairing_identity():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tensorwick.faces import total_faces
+from tensorwick.faces import count_bicolored_cycles, total_faces
 from tensorwick.graphs import (
     Matching,
     count_matchings,
@@ -218,8 +218,8 @@ def test_parallel_equals_sequential():
     # also when the node budget binds and the report is only a lower bound
     g = random_colored_graph(3, 8, seed=2)
     for budget, F_max, num_optimal, witness in (
-        (2000, 13, 6, [(0, 1), (2, 10), (3, 8), (4, 9), (5, 13), (6, 15), (7, 14), (11, 12)]),
-        (5000, 14, 1, [(0, 6), (1, 4), (2, 13), (3, 8), (5, 14), (7, 10), (9, 15), (11, 12)]),
+        (1000, 13, 10, [(0, 1), (2, 10), (3, 8), (4, 9), (5, 13), (6, 15), (7, 14), (11, 12)]),
+        (1445, 14, 1, [(0, 6), (1, 4), (2, 13), (3, 8), (5, 14), (7, 10), (9, 15), (11, 12)]),
     ):
         seq = max_scaling(g, threads=1, node_budget=budget)
         par = max_scaling(g, threads=2, node_budget=budget)
@@ -233,6 +233,7 @@ REFUSED = "node budget {} exhausted before any pairing completed"
 # (budget, (F_max, num_optimal, exact, witness) or None for a refusal)
 W6 = [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9)]
 W8 = [(0, 1), (2, 4), (3, 5), (6, 8), (7, 9)]
+W10 = [(0, 4), (1, 2), (3, 5), (6, 9), (7, 8)]
 TRUNCATED_SINGLE = [(b, None) for b in range(1, 6)] + [
     (6, (6, 1, False, W6)),
     (7, (6, 1, False, W6)),
@@ -243,13 +244,17 @@ TRUNCATED_SINGLE = [(b, None) for b in range(1, 6)] + [
     (12, (6, 3, False, W6)),
     (25, (6, 3, False, W6)),
     (50, (8, 2, False, W8)),
-    (100, (8, 3, False, W8)),
+    (100, (8, 6, False, W8)),
+    (156, (10, 2, False, W10)),
+    (157, (10, 2, True, W10)),
 ]
 TRUNCATED_UNION = [(b, None) for b in range(1, 12)] + [
     (12, (4, 1, False, [(0, 1), (2, 4), (3, 5), (6, 7)])),
     (25, (4, 6, False, [(0, 1), (2, 4), (3, 5), (6, 7)])),
     (50, (6, 2, False, [(0, 2), (1, 4), (3, 5), (6, 7)])),
     (100, (6, 12, False, [(0, 2), (1, 4), (3, 5), (6, 7)])),
+    (192, (6, 24, False, [(0, 2), (1, 4), (3, 5), (6, 7)])),
+    (193, (6, 24, True, [(0, 2), (1, 4), (3, 5), (6, 7)])),
 ]
 
 
@@ -273,20 +278,31 @@ def test_truncated_reports_inside_the_last_two_levels():
             assert rep.witness == Matching(witness, 2 * g.n)
 
 
-# every shape of total n 5 or 6, where the degree bound prunes: one graph,
+# every shape of total n 5 or 6, where the ring bound prunes: one graph,
 # or a union that the connected search must join
 bound_sizes = st.sampled_from([(5,), (6,), (1, 4), (2, 3), (2, 4), (3, 3), (1, 2, 3), (2, 2, 2)])
 
 
-@given(st.integers(1, 6), bound_sizes, st.integers(0, 10**6), st.booleans())
+@given(st.integers(1, 8), bound_sizes, st.integers(0, 10**6), st.booleans())
 @settings(max_examples=60, deadline=None)
-def test_degree_bound_keeps_the_top_bin(D, sizes, seed, connected_only):
+def test_ring_bound_keeps_the_top_bin(D, sizes, seed, connected_only):
     g = graph_of_parts(D, sizes, seed)
     counts = enumerate_histogram(g, connected_only=connected_only).counts
     rep = max_scaling(g, connected_only=connected_only)
     top = max(counts)
     assert rep.exact and (rep.F_max, rep.num_optimal) == (top, counts[top])
     assert faces_of(g, rep.witness.pairs) == top
+
+
+@given(st.integers(1, 8), st.integers(1, 6), st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_ring_bound_at_the_root(D, n, seed):
+    # the bound the search prunes with, before any pair is placed: each
+    # color's matching against the previous color's
+    g = random_colored_graph(D, n, seed)
+    m = g.matchings
+    ring = sum(count_bicolored_cycles(m[c], m[c - 1]) for c in range(D))
+    assert 2 * max(enumerate_histogram(g).counts) <= D * n + ring
 
 
 @given(st.integers(1, 4), part_sizes, st.integers(0, 10**6), st.booleans(), st.integers(-1, 1))
@@ -316,13 +332,14 @@ def test_node_counts_of_the_bounded_search():
     # the least budget at which each search finishes: a weaker bound raises
     # these, so a pruning regression fails here while timing noise does not
     # (the bound closed + D * remaining needed 1,408,169 nodes for the first)
-    g = random_colored_graph(3, 10, seed=2)
-    assert max_scaling(g, node_budget=7046).exact
-    assert not max_scaling(g, node_budget=7045).exact
+    for D, n, seed, least in ((3, 10, 2, 2162), (8, 7, 1, 16819), (12, 7, 1, 20287)):
+        g = random_colored_graph(D, n, seed)
+        assert max_scaling(g, node_budget=least).exact
+        assert not max_scaling(g, node_budget=least - 1).exact
     g = random_connected_graph(3, 6, seed=2)
-    assert factorization_verdict(g, node_budget=26212).factorizes
+    assert factorization_verdict(g, node_budget=6426).factorizes
     with pytest.raises(BudgetExceeded):
-        factorization_verdict(g, node_budget=26211)
+        factorization_verdict(g, node_budget=6425)
 
 
 def test_max_scaling_beyond_histogram_cap():
