@@ -14,11 +14,12 @@ arrays so each extension costs O(D).  The last two levels need no splice:
 the last pair's vertices are the ends of every color's remaining path, so
 it closes exactly D faces, and each of the three ways to pair the least of
 four free vertices is scored from the boundary arrays alone.  Given a node
-budget, the same walk becomes a branch and bound.  Its ring bound on the
-faces left to close (see `_scan`) never prunes a tie, so it counts every
-optimal pairing and reports the lexicographically least witness.  With a
-target too, it is a decision search that stops at the first pairing
-reaching the target, as the factorization verdict's pair question does.
+budget, the same walk becomes a branch and bound.  It starts from the
+incumbent of one greedy descent, `_dive`, and its ring bound on the faces
+left to close (see `_scan`) never prunes a tie, so it counts every optimal
+pairing and reports the lexicographically least witness.  With a target
+too, it is a decision search that stops at the first pairing reaching the
+target, as the factorization verdict's pair question does.
 """
 
 from __future__ import annotations
@@ -56,6 +57,95 @@ class _Hit(Exception):
 # enumeration engine
 
 
+def _dive(
+    partners: Sequence[Sequence[int]],
+    comp_ids: Sequence[int],
+    q: int,
+    connected_only: bool,
+) -> tuple[int, list[tuple[int, int]]]:
+    """One greedy descent to a leaf: (F, pairing), the incumbent of `_scan`.
+
+    At each level the least free vertex u is paired with the partner v that
+    closes the most faces; among ties, with the one whose spliced boundary
+    has the most ring cycles F_ring (the count `_scan` prunes with, so the
+    most room left to close faces), then with the least v.  With
+    connected_only, while components are still apart, v is taken from
+    another union-find set.  Every set then keeps at least two free
+    vertices, so the descent always ends in a pairing joining them all.
+    """
+    D = len(partners)
+    two_n = len(partners[0])
+    bnd = [list(p) for p in partners]
+    ring = [(bnd[c], bnd[c - 1]) for c in range(D)]
+    free = list(range(two_n))
+    par = list(range(q))
+    live = q if connected_only else 1
+    seen = [0] * two_n
+    stamp = 0
+    faces = 0
+    pairs = []
+
+    def find(c: int) -> int:
+        while par[c] != c:
+            c = par[c]
+        return c
+
+    def splice(u: int, v: int) -> None:
+        for bc in bnd:
+            a = bc[u]
+            if a != v:
+                b = bc[v]
+                bc[a] = b
+                bc[b] = a
+
+    def ring_after(u: int, v: int, rest: list[int]) -> int:
+        # F_ring once (u, v) is paired; bc[u] and bc[v] keep their old
+        # partners through the splice, so they undo it
+        nonlocal stamp
+        splice(u, v)
+        found = 0
+        for bc, bd in ring:
+            stamp += 1
+            for x in rest:
+                if x != v and seen[x] != stamp:
+                    found += 1
+                    y = x
+                    while seen[y] != stamp:
+                        seen[y] = stamp
+                        y = bc[y]
+                        seen[y] = stamp
+                        y = bd[y]
+        for bc in bnd:
+            a = bc[u]
+            if a != v:
+                bc[a] = u
+                bc[bc[v]] = v
+        return found
+
+    while free:
+        u = free[0]
+        rest = free[1:]
+        closes = [bc[u] for bc in bnd]
+        if live > 1:
+            ru = find(comp_ids[u])
+            options = [v for v in rest if find(comp_ids[v]) != ru]
+        else:
+            options = closes  # every other v closes no face
+        top = max(map(closes.count, options))
+        tied = sorted({v for v in options if closes.count(v) == top})
+        # max keeps the first, so the least, of equal F_ring
+        v = tied[0] if len(tied) == 1 else max(tied, key=lambda w: ring_after(u, w, rest))
+        splice(u, v)
+        if live > 1:
+            par[find(comp_ids[v])] = ru
+            live -= 1
+        faces += top
+        pairs.append((u, v))
+        rest.remove(v)
+        free = rest
+    return faces, pairs
+
+
 def _scan(
     partners: Sequence[Sequence[int]],
     comp_ids: Sequence[int],
@@ -82,9 +172,15 @@ def _scan(
     appears twice, so 2 * F_rest <= D * r + F_ring.  A node is pruned when
     room = 2 * (best - closed) - D * r exceeds F_ring: at once if
     room > D * r, else, above the last two levels, by D stamped cycle walks
-    that stop once F_ring can reach room.  No tie is pruned, so the top bin
-    of counts is the number of maximizing pairings.  When the budget runs
-    out the walk stops short and exact is False.
+    that stop once F_ring can reach room.  best starts at the face count of
+    the incumbent, the pairing `_dive` reaches, and leaves below best are
+    not counted.  No tie is pruned, so the walk reaches the incumbent's
+    leaf and every maximizing one: the top bin of counts is the number of
+    maximizing pairings, and the first leaf at best or above (witness is
+    None until then) is still the lexicographically least witness.  When
+    the budget runs out the walk stops short and exact is False; if it
+    reached no leaf at or above the incumbent, the incumbent is returned as
+    ({F: 1}, pairing, False).
 
     With a target (which needs a budget) the walk is a decision search:
     best starts at target, so the bound prunes every subtree that cannot
@@ -104,11 +200,12 @@ def _scan(
     decide = target is not None
     if two_n == 2:
         # one pairing closing D faces; the walk is a root and a leaf node
-        if bounded and node_budget < 2:
-            return {}, None, False
-        if decide and D < target:
-            return {}, None, True
-        return {D: 1}, [(0, 1)], True
+        if decide:
+            if node_budget < 2:
+                return {}, None, False
+            if D < target:
+                return {}, None, True
+        return {D: 1}, [(0, 1)], not bounded or node_budget >= 2
     bnd = [list(p) for p in partners]
     S = two_n  # sentinel of the doubly linked free list
     nxt = list(range(1, two_n + 1)) + [0]
@@ -118,7 +215,12 @@ def _scan(
     mate = [0] * two_n  # mate[u] for the least free vertex u of each level
     counts: dict[int, int] = {}
     witness = None
-    best = target if decide else -1
+    if decide:
+        best = target
+    elif bounded:
+        best, incumbent = _dive(partners, comp_ids, q, connected_only)
+    else:
+        best = -1
     nodes = 0
     exact = True
     ring = [(bnd[c], bnd[c - 1]) for c in range(D)]
@@ -205,7 +307,7 @@ def _scan(
                 if live > 1 and (live > 2 or find(comp_ids[v]) == ru):
                     continue
                 counts[f] = counts.get(f, 0) + 1
-                if f > best or decide:
+                if f > best or witness is None:
                     best = f
                     mate[u] = v
                     y, z = [w for w in (a, b, c) if w != v]
@@ -269,6 +371,9 @@ def _scan(
         rec(two_n // 2, 0, q if connected_only else 1)
     except _Hit:
         pass
+    if witness is None and bounded and not decide:
+        # truncated before any leaf reached the incumbent
+        return {best: 1}, incumbent, False
     return counts, witness, exact
 
 
@@ -469,7 +574,8 @@ class ScalingReport:
     omega_min translates F_max into the defect from the scaling bound when
     a formula applies (always for connected graphs; for disconnected ones
     only under the connected-pairing restriction).  exact=False marks a
-    truncated search whose F_max is merely a lower bound.
+    truncated search whose F_max is merely a lower bound and whose
+    num_optimal counts only the pairings it reached.
     """
 
     F_max: int
@@ -498,19 +604,21 @@ def max_scaling(
 ) -> ScalingReport:
     """Exact maximum of the face count over perfect pairings of G's vertices.
 
-    Works past the histogram budget thanks to pruning: 0.2-1.1 s on random
-    graphs at D = 3, n = 16 and D = 4, n = 12.  The search is sequential;
-    threads is accepted for compatibility and has no effect, so every value
-    gives the same report, also when node_budget truncates the search.
+    Works past the histogram budget thanks to pruning: 0.02-0.45 s on
+    random graphs at D = 3, n = 16 and D = 4, n = 12 (one core of a 2-core
+    x86 host).  A search cut by node_budget (at least 1) reports exact=False
+    with the best pairings it reached, or else the greedy incumbent it
+    started from with num_optimal 1; either way F_max is a lower bound and
+    the witness attains it.  The search is sequential; threads is accepted
+    for compatibility and has no effect, so every value gives the same
+    report, also when node_budget truncates the search.
     """
+    if node_budget < 1:
+        raise ValueError(f"node budget must be at least 1, got {node_budget}")
     comp_ids, q = G.component_ids()
     counts, witness, exact = _scan(
         G.partner_arrays(), comp_ids, q, connected_only, node_budget
     )
-    if witness is None:
-        raise BudgetExceeded(
-            f"node budget {node_budget} exhausted before any pairing completed"
-        )
     best = max(counts)
     g_conn = connected_only or q == 1
     omega = scaling_defect(G, best, g_conn) if g_conn else None
@@ -662,7 +770,7 @@ def factorization_verdict(
     connected pairing of G u G with at least T = 2 * F_max(G) faces.  The
     copy pairing closes D * n, so D * n >= T settles it without a search.
     Otherwise the search runs under node_budget, and a truncated search
-    raises BudgetExceeded.
+    raises BudgetExceeded; a node_budget below 1 raises ValueError.
     """
     if not G.is_connected:
         raise ValueError("factorization verdicts are stated for connected graphs")

@@ -99,6 +99,10 @@ def test_input_errors_exit_2():
     # histogram budget refusal
     res = run("expect", "--inline", MELON, "--budget", "1")
     assert res.exit_code == 2
+    # a node budget below one is an input error
+    res = run("scaling", "--inline", MELON, "--budget", "-3")
+    assert res.exit_code == 2
+    assert "node budget must be at least 1, got -3" in res.stderr
     # a dimension below 1 is an input error, not a negative verdict
     dipole = "3 1 | 0-1 ; 0-1 ; 0-1"
     res = run("mc-moment", "--inline", dipole, "--dim", "0", "--samples", "10")

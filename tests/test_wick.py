@@ -27,10 +27,12 @@ from tensorwick.wick import (
     lemma_condition,
     max_scaling,
     subadditivity_check,
+    _dive,
     _scan,
 )
 
 from helpers import (
+    all_matchings,
     brute_histogram,
     catalan,
     faces_of,
@@ -50,6 +52,10 @@ part_sizes = st.one_of(
         [(1, 1), (1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (1, 1, 1), (1, 1, 2), (1, 1, 3), (1, 2, 2)]
     ),
 )
+
+# every shape of total n 5 or 6, where the ring bound prunes: one graph,
+# or a union that the connected search must join
+bound_sizes = st.sampled_from([(5,), (6,), (1, 4), (2, 3), (2, 4), (3, 3), (1, 2, 3), (2, 2, 2)])
 
 
 def graph_of_parts(D, sizes, seed):
@@ -162,18 +168,39 @@ def test_max_scaling_matches_brute_force(D, sizes, seed, connected_only):
     assert faces_of(g, rep.witness.pairs) == rep.F_max
 
 
-def test_witness_is_lexicographically_least():
-    from helpers import all_matchings
+@given(st.integers(1, 6), part_sizes, st.integers(0, 10**6), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_witness_is_lexicographically_least(D, sizes, seed, connected_only):
+    # the search starts from the dive's incumbent, yet reports the least
+    # optimal pairing, not the incumbent
+    g = graph_of_parts(D, sizes, seed)
+    best = max_scaling(g, connected_only=connected_only)
+    optima = [
+        tuple(m)
+        for m in all_matchings(2 * g.n)
+        if faces_of(g, m) == best.F_max
+        and (not connected_only or joined_connected(g, m))
+    ]
+    assert best.witness.pairs == min(optima)
 
-    for seed in range(6):
-        g = random_colored_graph(3, 3, seed)
-        best = max_scaling(g)
-        optima = [
-            tuple(m)
-            for m in all_matchings(2 * g.n)
-            if faces_of(g, m) == best.F_max
-        ]
-        assert best.witness.pairs == min(optima)
+
+@given(st.integers(1, 8), st.one_of(part_sizes, bound_sizes), st.integers(0, 10**6), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_dive_is_a_valid_incumbent(D, sizes, seed, connected_only):
+    # the dive ends in a perfect pairing that closes the faces it claims, no
+    # more than the maximum, and joins every component when asked to; a
+    # walk cut at its first node returns it
+    g = graph_of_parts(D, sizes, seed)
+    comp_ids, q = g.component_ids()
+    F, pairs = _dive(g.partner_arrays(), comp_ids, q, connected_only)
+    m = Matching(pairs, 2 * g.n)
+    assert m.is_perfect and sorted(pairs) == pairs
+    assert faces_of(g, pairs) == F
+    assert F <= max(enumerate_histogram(g, connected_only=connected_only).counts)
+    if connected_only:
+        assert joined_connected(g, pairs)
+    rep = max_scaling(g, connected_only=connected_only, node_budget=1)
+    assert (rep.F_max, rep.num_optimal, rep.witness, rep.exact) == (F, 1, m, False)
 
 
 def test_scaling_bound_and_melonic_rigidity():
@@ -216,10 +243,11 @@ def test_parallel_equals_sequential():
     par = max_scaling(g, connected_only=True, threads=3).to_json_dict()
     assert json.dumps(seq, sort_keys=True) == json.dumps(par, sort_keys=True)
     # also when the node budget binds and the report is only a lower bound
+    # (the search finishes at 91 nodes; the incumbent is optimal here)
     g = random_colored_graph(3, 8, seed=2)
     for budget, F_max, num_optimal, witness in (
-        (1000, 13, 10, [(0, 1), (2, 10), (3, 8), (4, 9), (5, 13), (6, 15), (7, 14), (11, 12)]),
-        (1445, 14, 1, [(0, 6), (1, 4), (2, 13), (3, 8), (5, 14), (7, 10), (9, 15), (11, 12)]),
+        (1, 14, 1, [(0, 6), (1, 4), (2, 13), (3, 8), (5, 14), (7, 10), (9, 15), (11, 12)]),
+        (90, 14, 1, [(0, 6), (1, 4), (2, 13), (3, 8), (5, 14), (7, 10), (9, 15), (11, 12)]),
     ):
         seq = max_scaling(g, threads=1, node_budget=budget)
         par = max_scaling(g, threads=2, node_budget=budget)
@@ -229,32 +257,26 @@ def test_parallel_equals_sequential():
         assert seq.witness == Matching(witness, 16)
 
 
-REFUSED = "node budget {} exhausted before any pairing completed"
-# (budget, (F_max, num_optimal, exact, witness) or None for a refusal)
-W6 = [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9)]
-W8 = [(0, 1), (2, 4), (3, 5), (6, 8), (7, 9)]
+# (budget, (F_max, num_optimal, exact, witness)): a walk that reached no
+# leaf at or above the incumbent returns the incumbent, the dive's pairing
+# (optimal in both tables, but for the union not the least of its 24
+# optima, WU)
 W10 = [(0, 4), (1, 2), (3, 5), (6, 9), (7, 8)]
-TRUNCATED_SINGLE = [(b, None) for b in range(1, 6)] + [
-    (6, (6, 1, False, W6)),
-    (7, (6, 1, False, W6)),
-    (8, (6, 2, False, W6)),
-    (9, (6, 2, False, W6)),
-    (10, (6, 3, False, W6)),
-    (11, (6, 3, False, W6)),
-    (12, (6, 3, False, W6)),
-    (25, (6, 3, False, W6)),
-    (50, (8, 2, False, W8)),
-    (100, (8, 6, False, W8)),
-    (156, (10, 2, False, W10)),
-    (157, (10, 2, True, W10)),
+TRUNCATED_SINGLE = [(b, (10, 1, False, W10)) for b in range(1, 30)] + [
+    (30, (10, 2, False, W10)),
+    (47, (10, 2, False, W10)),
+    (48, (10, 2, True, W10)),
+    (100, (10, 2, True, W10)),
 ]
-TRUNCATED_UNION = [(b, None) for b in range(1, 12)] + [
-    (12, (4, 1, False, [(0, 1), (2, 4), (3, 5), (6, 7)])),
-    (25, (4, 6, False, [(0, 1), (2, 4), (3, 5), (6, 7)])),
-    (50, (6, 2, False, [(0, 2), (1, 4), (3, 5), (6, 7)])),
-    (100, (6, 12, False, [(0, 2), (1, 4), (3, 5), (6, 7)])),
-    (192, (6, 24, False, [(0, 2), (1, 4), (3, 5), (6, 7)])),
-    (193, (6, 24, True, [(0, 2), (1, 4), (3, 5), (6, 7)])),
+DIVE = [(0, 4), (1, 3), (2, 5), (6, 7)]
+WU = [(0, 2), (1, 4), (3, 5), (6, 7)]
+TRUNCATED_UNION = [(b, (6, 1, False, DIVE)) for b in range(1, 36)] + [
+    (36, (6, 1, False, WU)),
+    (38, (6, 2, False, WU)),
+    (50, (6, 7, False, WU)),
+    (100, (6, 15, False, WU)),
+    (180, (6, 24, False, WU)),
+    (181, (6, 24, True, WU)),
 ]
 
 
@@ -267,20 +289,10 @@ def test_truncated_reports_inside_the_last_two_levels():
         (union, True, TRUNCATED_UNION),
     ):
         for budget, expected in table:
-            if expected is None:
-                with pytest.raises(BudgetExceeded) as info:
-                    max_scaling(g, connected_only, node_budget=budget)
-                assert str(info.value) == REFUSED.format(budget)
-                continue
             rep = max_scaling(g, connected_only, node_budget=budget)
             F_max, num_optimal, exact, witness = expected
             assert (rep.F_max, rep.num_optimal, rep.exact) == (F_max, num_optimal, exact)
             assert rep.witness == Matching(witness, 2 * g.n)
-
-
-# every shape of total n 5 or 6, where the ring bound prunes: one graph,
-# or a union that the connected search must join
-bound_sizes = st.sampled_from([(5,), (6,), (1, 4), (2, 3), (2, 4), (3, 3), (1, 2, 3), (2, 2, 2)])
 
 
 @given(st.integers(1, 8), bound_sizes, st.integers(0, 10**6), st.booleans())
@@ -331,8 +343,9 @@ def test_decision_search_meets_its_target(D, sizes, seed, connected_only, offset
 def test_node_counts_of_the_bounded_search():
     # the least budget at which each search finishes: a weaker bound raises
     # these, so a pruning regression fails here while timing noise does not
-    # (the bound closed + D * remaining needed 1,408,169 nodes for the first)
-    for D, n, seed, least in ((3, 10, 2, 2162), (8, 7, 1, 16819), (12, 7, 1, 20287)):
+    # (the bound closed + D * remaining needed 1,408,169 nodes for the first,
+    # the ring bound without an incumbent 2,162)
+    for D, n, seed, least in ((3, 10, 2, 240), (8, 7, 1, 16732), (12, 7, 1, 13713)):
         g = random_colored_graph(D, n, seed)
         assert max_scaling(g, node_budget=least).exact
         assert not max_scaling(g, node_budget=least - 1).exact
@@ -366,6 +379,15 @@ def test_node_budget_truncation_is_flagged():
     full = max_scaling(g)
     assert full.exact
     assert rep.F_max <= full.F_max  # truncated result is a lower bound
+
+
+def test_node_budget_below_one_is_refused():
+    g = random_connected_graph(3, 3, seed=1)
+    for budget in (0, -3):
+        with pytest.raises(ValueError, match=f"got {budget}$"):
+            max_scaling(g, node_budget=budget)
+        with pytest.raises(ValueError, match=f"got {budget}$"):
+            factorization_verdict(g, node_budget=budget)
 
 
 def test_lemma_condition():
