@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .graphs import ColoredGraph, Matching
+from .graphs import ColoredGraph, Matching, splice
 
 
 def count_bicolored_cycles(A: Matching, B: Matching) -> int:
@@ -115,11 +115,7 @@ def boundary_graph(
         raise ValueError("partial matching absorbs every vertex; no boundary is left")
     boundary = [list(p) for p in G.partner_arrays()]
     for u, v in partial.pairs:
-        for b in boundary:
-            # when pu == v the pair closes a cycle and both stores are no-ops
-            pu, pv = b[u], b[v]
-            b[pu] = pv
-            b[pv] = pu
+        splice(boundary, u, v)
     labels = tuple(w for w, p in enumerate(partial.partner_array()) if p < 0)
     index = {orig: new for new, orig in enumerate(labels)}
     ms = [

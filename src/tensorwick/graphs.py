@@ -342,6 +342,37 @@ def connected_components(
     return out
 
 
+def splice(partners: Sequence[list[int]], u: int, v: int) -> int:
+    """Absorb the pair (u, v) into every color's alternating paths.
+
+    partners[c] pairs the two ends of each of color c's paths (a graph's
+    partner arrays before any pair is absorbed).  Where u and v end the
+    same path the pair closes it into a face; otherwise the paths ending at
+    u and v are joined, so their far ends become partners.  Returns the
+    number of faces closed.  partners[c][u] and [v] keep their old values,
+    which is what lets unsplice undo the step.
+    """
+    closed = 0
+    for p in partners:
+        a = p[u]
+        if a == v:
+            closed += 1
+        else:
+            b = p[v]
+            p[a] = b
+            p[b] = a
+    return closed
+
+
+def unsplice(partners: Sequence[list[int]], u: int, v: int) -> None:
+    """Undo splice(partners, u, v), the last splice still in effect."""
+    for p in partners:
+        a = p[u]
+        if a != v:
+            p[a] = u
+            p[p[v]] = v
+
+
 @dataclass(frozen=True)
 class MelonicReport:
     """Outcome of the dipole-contraction recognizer.
@@ -364,6 +395,8 @@ def is_melonic(G: ColoredGraph) -> MelonicReport:
     the remaining color's two edges into one.  The graph is melonic iff this
     terminates with nothing left.  Contraction order does not change the
     verdict (a property test enforces this; it is not assumed blindly).
+    Both steps splice the pair away; a peel closes D faces, a contraction
+    D-1, and only contractions enter the trace.
     """
     if G.D < 2:
         raise ValueError("melonic recognition needs at least two colors")
@@ -371,11 +404,12 @@ def is_melonic(G: ColoredGraph) -> MelonicReport:
     two_n = 2 * G.n
     partner = [list(p) for p in G.partner_arrays()]
     alive = [True] * two_n
-    remaining = two_n
     trace: list[Pair] = []
     pairs: list[Pair] = []
 
-    def find_pair(multiplicity: int) -> Optional[Pair]:
+    def find_pair() -> Optional[Pair]:
+        # the first D-dipole, else the first (D-1)-dipole
+        dipole = None
         for u in range(two_n):
             if not alive[u]:
                 continue
@@ -384,32 +418,22 @@ def is_melonic(G: ColoredGraph) -> MelonicReport:
                 w = partner[c][u]
                 counts[w] = counts.get(w, 0) + 1
             for w, k in counts.items():
-                if k == multiplicity and u < w:
-                    return (u, w)
-        return None
+                if u < w:
+                    if k == D:
+                        return (u, w)
+                    if k == D - 1 and dipole is None:
+                        dipole = (u, w)
+        return dipole
 
-    while remaining:
-        peel = find_pair(D)
-        if peel is not None:
-            u, v = peel
-            alive[u] = alive[v] = False
-            remaining -= 2
-            pairs.append((u, v))
-            continue
-        dip = find_pair(D - 1)
-        if dip is None:
+    while len(pairs) < G.n:
+        pair = find_pair()
+        if pair is None:
             return MelonicReport(False, tuple(trace), None)
-        u, v = dip
-        for c in range(D):
-            if partner[c][u] != v:
-                a, b = partner[c][u], partner[c][v]
-                partner[c][a] = b
-                partner[c][b] = a
-                break
+        u, v = pair
+        if splice(partner, u, v) < D:
+            trace.append(pair)
         alive[u] = alive[v] = False
-        remaining -= 2
-        trace.append((u, v))
-        pairs.append((u, v))
+        pairs.append(pair)
     return MelonicReport(True, tuple(trace), Matching(pairs, two_n))
 
 
@@ -429,6 +453,23 @@ def graph_to_json(G: ColoredGraph) -> str:
     return json.dumps(graph_to_json_dict(G), sort_keys=True)
 
 
+def _graph_of_colors(blocks: Sequence, vertices: int, pairs_of) -> ColoredGraph:
+    """One perfect Matching per block, from pairs_of(block); errors become GraphFormatError."""
+    ms = []
+    for c, block in enumerate(blocks, start=1):
+        try:
+            m = Matching(pairs_of(block), vertices)
+        except (TypeError, ValueError) as exc:
+            raise GraphFormatError(f"color {c}: {exc}") from exc
+        if not m.is_perfect:
+            raise GraphFormatError(f"color {c}: matching is not perfect")
+        ms.append(m)
+    try:
+        return ColoredGraph(ms)
+    except ValueError as exc:
+        raise GraphFormatError(str(exc)) from exc
+
+
 def graph_from_json_dict(doc: dict) -> ColoredGraph:
     try:
         D = _integral(doc["D"])
@@ -444,19 +485,7 @@ def graph_from_json_dict(doc: dict) -> ColoredGraph:
         raise GraphFormatError(
             f"expected {D} matchings, found {len(matchings)}"
         )
-    ms = []
-    for c, pairs in enumerate(matchings, start=1):
-        try:
-            m = Matching([tuple(p) for p in pairs], vertices)
-        except (TypeError, ValueError) as exc:
-            raise GraphFormatError(f"color {c}: {exc}") from exc
-        if not m.is_perfect:
-            raise GraphFormatError(f"color {c}: matching is not perfect")
-        ms.append(m)
-    try:
-        return ColoredGraph(ms)
-    except ValueError as exc:
-        raise GraphFormatError(str(exc)) from exc
+    return _graph_of_colors(matchings, vertices, lambda pairs: [tuple(p) for p in pairs])
 
 
 def graph_from_json(text: str) -> ColoredGraph:
@@ -505,19 +534,7 @@ def graph_from_text(line: str) -> ColoredGraph:
     blocks = [b.strip() for b in body.split(";")]
     if len(blocks) != D:
         raise GraphFormatError(f"expected {D} color blocks, found {len(blocks)}")
-    ms = []
-    for c, block in enumerate(blocks, start=1):
-        try:
-            m = Matching(parse_pairs(block), 2 * n)
-        except ValueError as exc:
-            raise GraphFormatError(f"color {c}: {exc}") from exc
-        if not m.is_perfect:
-            raise GraphFormatError(f"color {c}: matching is not perfect")
-        ms.append(m)
-    try:
-        return ColoredGraph(ms)
-    except ValueError as exc:
-        raise GraphFormatError(str(exc)) from exc
+    return _graph_of_colors(blocks, 2 * n, parse_pairs)
 
 
 def parse_graph(text: str) -> ColoredGraph:

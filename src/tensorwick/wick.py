@@ -10,16 +10,18 @@ rational arithmetic; N never becomes a float.
 One engine, `_scan`, serves both histograms and maximization.  It walks
 pairings in canonical order (smallest free vertex first, partners
 ascending), keeping per-color alternating-path endpoints as flat partner
-arrays so each extension costs O(D).  The last two levels need no splice:
+arrays so each extension costs O(D): the splice of `graphs.splice`, which
+the walk's inner loop writes inline.  The last two levels need no splice:
 the last pair's vertices are the ends of every color's remaining path, so
 it closes exactly D faces, and each of the three ways to pair the least of
 four free vertices is scored from the boundary arrays alone.  Given a node
 budget, the same walk becomes a branch and bound.  It starts from the
-incumbent of one greedy descent, `_dive`, and its ring bound on the faces
-left to close (see `_scan`) never prunes a tie, so it counts every optimal
-pairing and reports the lexicographically least witness.  With a target
-too, it is a decision search that stops at the first pairing reaching the
-target, as the factorization verdict's pair question does.
+incumbent of one greedy descent, run on the walk's own state, and its ring
+bound on the faces left to close never prunes a tie, so it counts every
+optimal pairing and reports the lexicographically least witness (see
+`_scan`).  With a target too, it is a decision search that stops at the
+first pairing reaching the target, as the factorization verdict's pair
+question does.
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ from .graphs import (
     copy_pairing,
     count_matchings,
     disjoint_union,
+    splice,
+    unsplice,
 )
 
 # refuse exhaustive sums past |M_10| = 654,729,075; a D = 3 histogram takes
@@ -57,109 +61,22 @@ class _Hit(Exception):
 # enumeration engine
 
 
-def _dive(
-    partners: Sequence[Sequence[int]],
-    comp_ids: Sequence[int],
-    q: int,
-    connected_only: bool,
-) -> tuple[int, list[tuple[int, int]]]:
-    """One greedy descent to a leaf: (F, pairing), the incumbent of `_scan`.
-
-    At each level the least free vertex u is paired with the partner v that
-    closes the most faces; among ties, with the one whose spliced boundary
-    has the most ring cycles F_ring (the count `_scan` prunes with, so the
-    most room left to close faces), then with the least v.  With
-    connected_only, while components are still apart, v is taken from
-    another union-find set.  Every set then keeps at least two free
-    vertices, so the descent always ends in a pairing joining them all.
-    """
-    D = len(partners)
-    two_n = len(partners[0])
-    bnd = [list(p) for p in partners]
-    ring = [(bnd[c], bnd[c - 1]) for c in range(D)]
-    free = list(range(two_n))
-    par = list(range(q))
-    live = q if connected_only else 1
-    seen = [0] * two_n
-    stamp = 0
-    faces = 0
-    pairs = []
-
-    def find(c: int) -> int:
-        while par[c] != c:
-            c = par[c]
-        return c
-
-    def splice(u: int, v: int) -> None:
-        for bc in bnd:
-            a = bc[u]
-            if a != v:
-                b = bc[v]
-                bc[a] = b
-                bc[b] = a
-
-    def ring_after(u: int, v: int, rest: list[int]) -> int:
-        # F_ring once (u, v) is paired; bc[u] and bc[v] keep their old
-        # partners through the splice, so they undo it
-        nonlocal stamp
-        splice(u, v)
-        found = 0
-        for bc, bd in ring:
-            stamp += 1
-            for x in rest:
-                if x != v and seen[x] != stamp:
-                    found += 1
-                    y = x
-                    while seen[y] != stamp:
-                        seen[y] = stamp
-                        y = bc[y]
-                        seen[y] = stamp
-                        y = bd[y]
-        for bc in bnd:
-            a = bc[u]
-            if a != v:
-                bc[a] = u
-                bc[bc[v]] = v
-        return found
-
-    while free:
-        u = free[0]
-        rest = free[1:]
-        closes = [bc[u] for bc in bnd]
-        if live > 1:
-            ru = find(comp_ids[u])
-            options = [v for v in rest if find(comp_ids[v]) != ru]
-        else:
-            options = closes  # every other v closes no face
-        top = max(map(closes.count, options))
-        tied = sorted({v for v in options if closes.count(v) == top})
-        # max keeps the first, so the least, of equal F_ring
-        v = tied[0] if len(tied) == 1 else max(tied, key=lambda w: ring_after(u, w, rest))
-        splice(u, v)
-        if live > 1:
-            par[find(comp_ids[v])] = ru
-            live -= 1
-        faces += top
-        pairs.append((u, v))
-        rest.remove(v)
-        free = rest
-    return faces, pairs
-
-
 def _scan(
-    partners: Sequence[Sequence[int]],
-    comp_ids: Sequence[int],
-    q: int,
+    G: ColoredGraph,
     connected_only: bool,
     node_budget: Optional[int] = None,
     target: Optional[int] = None,
 ) -> tuple[dict[int, int], Optional[list[tuple[int, int]]], bool]:
-    """Depth-first walk over the perfect pairings, in lexicographic order.
+    """Depth-first walk over the perfect pairings of G, in lexicographic order.
 
     Returns (counts, witness, exact).  counts maps each face count to the
     number of visited pairings attaining it (with connected_only, only
     pairings joining all q components count); witness is the first visited
     pairing of the largest face count, i.e. the lexicographically least one.
+
+    The walk keeps one state: each color's alternating-path ends as partner
+    arrays bnd, spliced and unspliced as pairs are placed; the free vertices
+    as a doubly linked list; and a union-find over the components.
 
     Without node_budget every pairing is visited and counts is the full
     histogram; with connected_only, subtrees that can no longer join every
@@ -171,22 +88,31 @@ def _scan(
     r + cyc(b_c, b_d); over the ring pairs (c, c - 1 mod D) each color
     appears twice, so 2 * F_rest <= D * r + F_ring.  A node is pruned when
     room = 2 * (best - closed) - D * r exceeds F_ring: at once if
-    room > D * r, else, above the last two levels, by D stamped cycle walks
-    that stop once F_ring can reach room.  best starts at the face count of
-    the incumbent, the pairing `_dive` reaches, and leaves below best are
-    not counted.  No tie is pruned, so the walk reaches the incumbent's
-    leaf and every maximizing one: the top bin of counts is the number of
-    maximizing pairings, and the first leaf at best or above (witness is
-    None until then) is still the lexicographically least witness.  When
-    the budget runs out the walk stops short and exact is False; if it
-    reached no leaf at or above the incumbent, the incumbent is returned as
-    ({F: 1}, pairing, False).
+    room > D * r, else, above the last two levels, by the ring walk, which
+    stops once F_ring can reach room.
 
-    With a target (which needs a budget) the walk is a decision search:
-    best starts at target, so the bound prunes every subtree that cannot
-    reach it, and the walk stops at the first counted leaf, returning it as
-    witness with counts {F: 1}.  A walk that finds none returns ({}, None,
-    exact).
+    best starts at the face count of an incumbent, the pairing reached by
+    one greedy descent on the walk's state before the walk (the state is
+    reset after it).  At each level the descent pairs the least free vertex
+    u with the partner v that closes the most faces; among ties, with the
+    one whose spliced boundary has the most ring cycles F_ring (the most
+    room left to close faces), then with the least v.  With
+    connected_only, while components are still apart, v is taken from
+    another union-find set; every set then keeps at least two free
+    vertices, so the descent always ends in a pairing joining them all.
+    Leaves below best are not counted.  No tie is pruned, so the walk
+    reaches the incumbent's leaf and every maximizing one: the top bin of
+    counts is the number of maximizing pairings, and the first leaf at best
+    or above (witness is None until then) is still the lexicographically
+    least witness.  When the budget runs out the walk stops short and exact
+    is False; if it reached no leaf at or above the incumbent, the
+    incumbent is returned as ({F: 1}, pairing, False).
+
+    With a target (which needs a budget) the walk is a decision search with
+    no descent: best starts at target, so the bound prunes every subtree
+    that cannot reach it, and the walk stops at the first counted leaf,
+    returning it as witness with counts {F: 1}.  A walk that finds none
+    returns ({}, None, exact).
 
     The last two levels are scored in closed form, without splicing or
     recursing.  Each completion still counts as two nodes, its pair (u, v)
@@ -194,8 +120,9 @@ def _scan(
     every leaf would make, so truncated reports do not depend on how the
     bottom is scored.
     """
-    D = len(partners)
-    two_n = len(partners[0])
+    D = G.D
+    two_n = 2 * G.n
+    comp_ids, q = G.component_ids()
     bounded = node_budget is not None
     decide = target is not None
     if two_n == 2:
@@ -206,7 +133,7 @@ def _scan(
             if D < target:
                 return {}, None, True
         return {D: 1}, [(0, 1)], not bounded or node_budget >= 2
-    bnd = [list(p) for p in partners]
+    bnd = [list(p) for p in G.partner_arrays()]
     S = two_n  # sentinel of the doubly linked free list
     nxt = list(range(1, two_n + 1)) + [0]
     prv = [S] + list(range(two_n - 1)) + [two_n - 1]
@@ -215,12 +142,6 @@ def _scan(
     mate = [0] * two_n  # mate[u] for the least free vertex u of each level
     counts: dict[int, int] = {}
     witness = None
-    if decide:
-        best = target
-    elif bounded:
-        best, incumbent = _dive(partners, comp_ids, q, connected_only)
-    else:
-        best = -1
     nodes = 0
     exact = True
     ring = [(bnd[c], bnd[c - 1]) for c in range(D)]
@@ -232,8 +153,95 @@ def _scan(
             c = par[c]
         return c
 
+    def ring_cycles(cap: int) -> int:
+        """F_ring of the free vertices, or cap once it is sure to reach it.
+
+        Counts the cycles found plus one for each ring pair still to walk
+        (a nonempty pair has at least one), so it never exceeds F_ring and
+        can stop at cap.  A cap of 0 is never reached.
+        """
+        nonlocal stamp
+        found = D
+        for bc, bd in ring:
+            stamp += 1
+            found -= 1
+            x = nxt[S]
+            while x != S:
+                if seen[x] != stamp:
+                    found += 1
+                    if found == cap:
+                        return cap
+                    y = x
+                    while seen[y] != stamp:
+                        seen[y] = stamp
+                        y = bc[y]
+                        seen[y] = stamp
+                        y = bd[y]
+                x = nxt[x]
+        return found
+
+    def unlink(x: int) -> None:
+        nxt[prv[x]] = nxt[x]
+        prv[nxt[x]] = prv[x]
+
+    def relink(x: int) -> None:
+        nxt[prv[x]] = x
+        prv[nxt[x]] = x
+
+    def ring_after(u: int, w: int) -> int:
+        # F_ring once (u, w) is paired too
+        unlink(w)
+        splice(bnd, u, w)
+        found = ring_cycles(0)
+        unsplice(bnd, u, w)
+        relink(w)
+        return found
+
+    def descend() -> tuple[int, list[tuple[int, int]]]:
+        live = q if connected_only else 1
+        faces = 0
+        pairs = []
+        while nxt[S] != S:
+            u = nxt[S]
+            unlink(u)
+            closes = [bc[u] for bc in bnd]
+            if live > 1:
+                ru = find(comp_ids[u])
+                options = []
+                x = nxt[S]
+                while x != S:
+                    if find(comp_ids[x]) != ru:
+                        options.append(x)
+                    x = nxt[x]
+            else:
+                options = closes  # every other v closes no face
+            top = max(map(closes.count, options))
+            tied = sorted({v for v in options if closes.count(v) == top})
+            # max keeps the first, so the least, of equal F_ring
+            v = tied[0] if len(tied) == 1 else max(tied, key=lambda w: ring_after(u, w))
+            unlink(v)
+            faces += splice(bnd, u, v)
+            if live > 1:
+                par[find(comp_ids[v])] = ru
+                live -= 1
+            pairs.append((u, v))
+        # hand the walk its root state: undo the last pair first
+        for u, v in reversed(pairs):
+            unsplice(bnd, u, v)
+            relink(v)
+            relink(u)
+        par[:] = range(q)
+        return faces, pairs
+
+    if decide:
+        best = target
+    elif bounded:
+        best, incumbent = descend()
+    else:
+        best = -1
+
     def rec(remaining: int, closed: int, live: int) -> None:
-        nonlocal nodes, exact, best, witness, stamp
+        nonlocal nodes, exact, best, witness
         u = nxt[S]
         if bounded:
             nodes += 1
@@ -243,29 +251,8 @@ def _scan(
             room = 2 * (best - closed) - D * remaining
             if room > D * remaining:  # closed + D * remaining < best
                 return
-            if room > D and remaining > 2:
-                # cycles counted, plus one for each ring pair still to walk
-                found = D
-                for bc, bd in ring:
-                    stamp += 1
-                    found -= 1
-                    x = u
-                    while x != S:
-                        if seen[x] != stamp:
-                            found += 1
-                            if found == room:
-                                break
-                            y = x
-                            while seen[y] != stamp:
-                                seen[y] = stamp
-                                y = bc[y]
-                                seen[y] = stamp
-                                y = bd[y]
-                        x = nxt[x]
-                    if found == room:
-                        break
-                else:
-                    return
+            if room > D and remaining > 2 and ring_cycles(room) < room:
+                return
         elif live > remaining:
             # each pair but the last merges at most one union-find set, so
             # no pairing below joins every component
@@ -329,6 +316,9 @@ def _scan(
             pv_, nv_ = prv[v], nxt[v]
             nxt[pv_] = nv_
             prv[nv_] = pv_
+            # splice(bnd, u, v) and unsplice, inline: a helper call per
+            # node made the D = 3, n = 8 histogram slower in six of six
+            # interleaved runs, by 2-8%
             dclosed = 0
             for bc in bnd:
                 a = bc[u]
@@ -422,8 +412,7 @@ def enumerate_histogram(
             f"exhaustive enumeration over {count_matchings(G.n)} pairings "
             f"(n={G.n}) exceeds the configured budget n <= {budget}"
         )
-    comp_ids, q = G.component_ids()
-    counts, _, _ = _scan(G.partner_arrays(), comp_ids, q, connected_only)
+    counts, _, _ = _scan(G, connected_only)
     return FaceHistogram(counts, connected_only, G.n, G.D)
 
 
@@ -615,12 +604,9 @@ def max_scaling(
     """
     if node_budget < 1:
         raise ValueError(f"node budget must be at least 1, got {node_budget}")
-    comp_ids, q = G.component_ids()
-    counts, witness, exact = _scan(
-        G.partner_arrays(), comp_ids, q, connected_only, node_budget
-    )
+    counts, witness, exact = _scan(G, connected_only, node_budget)
     best = max(counts)
-    g_conn = connected_only or q == 1
+    g_conn = connected_only or G.is_connected
     omega = scaling_defect(G, best, g_conn) if g_conn else None
     return ScalingReport(
         best, counts[best], Matching(witness, 2 * G.n), omega, connected_only, exact
@@ -780,10 +766,7 @@ def factorization_verdict(
     pair_F, witness, pair_exact = G.D * G.n, copy_pairing(2 * G.n), False
     if pair_F < target:
         union = disjoint_union(G, G)
-        comp_ids, q = union.component_ids()
-        counts, hit, complete = _scan(
-            union.partner_arrays(), comp_ids, q, True, node_budget, target
-        )
+        counts, hit, complete = _scan(union, True, node_budget, target)
         if not complete:
             raise BudgetExceeded("scaling search truncated; verdict would be unsound")
         if hit is not None:

@@ -15,6 +15,8 @@ from tensorwick.graphs import (
     ColoredGraph,
     Matching,
     disjoint_union,
+    graph_from_text,
+    graph_to_text,
     is_melonic,
     new_dipole,
     random_colored_graph,
@@ -133,6 +135,14 @@ def test_boundary_graph_six_vertex_instances():
         ((0, 1), (2, 3)),
         ((0, 3), (1, 2)),
     ]
+
+
+def test_boundary_graph_closes_and_splices():
+    # (0, 5) splices every color's paths; (2, 3) then closes color 2's
+    g = graph_from_text("4 4 | 0-3,1-5,2-4,6-7 ; 0-6,1-7,2-3,4-5 ; 0-1,2-5,3-6,4-7 ; 0-6,1-2,3-5,4-7")
+    bg, labels = boundary_graph(g, Matching([(0, 5), (2, 3)], 8))
+    assert labels == (1, 4, 6, 7)
+    assert graph_to_text(bg) == "4 2 | 0-1,2-3 ; 0-3,1-2 ; 0-2,1-3 ; 0-2,1-3"
 
 
 def test_boundary_graph_rejects_bad_partials():

@@ -23,6 +23,8 @@ from tensorwick.graphs import (
     random_colored_graph,
     random_melonic_graph,
     random_perfect_matching,
+    splice,
+    unsplice,
 )
 
 from helpers import melonic_all_orders, six_vertex_cyclic, spec_quartic_melon
@@ -247,6 +249,44 @@ def test_is_melonic_disconnected():
     rep = is_melonic(g)
     assert rep.is_melonic
     assert rep.canonical_pairing is not None and rep.canonical_pairing.is_perfect
+
+
+def test_melonic_reduction_traces():
+    # contractions enter the trace in order; the final peel of each
+    # component does not
+    for k, seed, trace in (
+        (2, 0, ((0, 1), (2, 3))),
+        (4, 1, ((2, 3), (0, 1), (4, 5), (6, 7))),
+        (6, 3, ((0, 1), (6, 7), (4, 5), (8, 9), (10, 11), (2, 3))),
+    ):
+        rep = is_melonic(random_melonic_graph(3, k, seed))
+        assert rep.reduction_trace == trace
+        assert rep.canonical_pairing == Matching(
+            [(i, i + 1) for i in range(0, 2 * k + 2, 2)], 2 * k + 2
+        )
+    g = disjoint_union(random_melonic_graph(3, 2, 5), random_melonic_graph(3, 3, 6))
+    rep = is_melonic(g)
+    assert rep.reduction_trace == ((0, 1), (2, 3), (10, 11), (8, 9), (6, 7))
+    assert rep.canonical_pairing == Matching([(i, i + 1) for i in range(0, 14, 2)], 14)
+
+
+@given(st.integers(1, 8), st.integers(1, 6), st.integers(0, 10**6), st.data())
+@settings(max_examples=80, deadline=None)
+def test_splice_counts_closed_faces_and_unsplice_restores(D, n, seed, data):
+    partners = [list(p) for p in random_colored_graph(D, n, seed).partner_arrays()]
+    original = [list(p) for p in partners]
+    order = data.draw(st.permutations(range(2 * n)))
+    pairs = [(order[i], order[i + 1]) for i in range(0, 2 * data.draw(st.integers(1, n)), 2)]
+    for u, v in pairs:
+        before = [list(p) for p in partners]
+        assert splice(partners, u, v) == sum(p[u] == v for p in before)
+        for p, old in zip(partners, before):
+            if old[u] != v:
+                # the far ends of the paths through u and v become partners
+                assert p[old[u]] == old[v] and p[old[v]] == old[u]
+    for u, v in reversed(pairs):
+        unsplice(partners, u, v)
+    assert partners == original
 
 
 def test_melonic_generation_up_to_twenty_vertices():

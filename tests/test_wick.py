@@ -27,7 +27,6 @@ from tensorwick.wick import (
     lemma_condition,
     max_scaling,
     subadditivity_check,
-    _dive,
     _scan,
 )
 
@@ -187,12 +186,13 @@ def test_witness_is_lexicographically_least(D, sizes, seed, connected_only):
 @given(st.integers(1, 8), st.one_of(part_sizes, bound_sizes), st.integers(0, 10**6), st.booleans())
 @settings(max_examples=80, deadline=None)
 def test_dive_is_a_valid_incumbent(D, sizes, seed, connected_only):
-    # the dive ends in a perfect pairing that closes the faces it claims, no
-    # more than the maximum, and joins every component when asked to; a
-    # walk cut at its first node returns it
+    # a walk cut at its first node returns the greedy descent's pairing: a
+    # perfect one that closes the faces it claims, no more than the
+    # maximum, and joins every component when asked to
     g = graph_of_parts(D, sizes, seed)
-    comp_ids, q = g.component_ids()
-    F, pairs = _dive(g.partner_arrays(), comp_ids, q, connected_only)
+    counts, pairs, exact = _scan(g, connected_only, node_budget=1)
+    (F,) = counts
+    assert counts[F] == 1 and not exact
     m = Matching(pairs, 2 * g.n)
     assert m.is_perfect and sorted(pairs) == pairs
     assert faces_of(g, pairs) == F
@@ -325,10 +325,7 @@ def test_decision_search_meets_its_target(D, sizes, seed, connected_only, offset
     g = graph_of_parts(D, sizes, seed)
     hist = brute_histogram(g, connected_only=connected_only)
     target = max(hist) + offset
-    comp_ids, q = g.component_ids()
-    counts, hit, exact = _scan(
-        g.partner_arrays(), comp_ids, q, connected_only, DEFAULT_NODE_BUDGET, target
-    )
+    counts, hit, exact = _scan(g, connected_only, DEFAULT_NODE_BUDGET, target)
     assert exact
     if offset > 0:
         assert counts == {} and hit is None
