@@ -24,6 +24,12 @@ import numpy as np
 from .graphs import ColoredGraph
 
 DEFAULT_BATCH = 1 << 14
+# most floats the default batch draws at once: 256 MiB of float64
+MAX_DRAW_FLOATS = 1 << 25
+
+
+class _DefaultBatch(int):
+    """mc_moment's default batch, an int told apart from an explicit one."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,13 +166,16 @@ def mc_moment(
     nu,
     samples: int,
     seed,
-    batch_size: int = DEFAULT_BATCH,
+    batch_size: int = _DefaultBatch(DEFAULT_BATCH),
 ) -> MomentEstimate:
     """Monte Carlo estimate of < product of Tr over the graphs > at dimension N.
 
     All graphs are evaluated on the same tensor draw per sample, so the
     estimate targets the joint moment.  Batches use independent child
-    streams of the seed; results do not depend on scheduling.
+    streams of the seed; results do not depend on scheduling.  Each batch
+    draws batch_size * N**D floats.  The default batch is cut to
+    MAX_DRAW_FLOATS // N**D samples where it would draw more (from N**D >
+    2048 on, such as D = 4, N = 7); an explicit batch_size is used as given.
     """
     if not graphs:
         raise ValueError("need at least one graph")
@@ -180,6 +189,8 @@ def mc_moment(
         raise ValueError("need N >= 1")
     if batch_size < 1:
         raise ValueError("need batch_size >= 1")
+    if type(batch_size) is _DefaultBatch:
+        batch_size = max(1, min(batch_size, MAX_DRAW_FLOATS // N**D))
     plans = [_plan(g) for g in graphs]
     nu = Fraction(nu)
     sigma = float(N) ** (-float(nu) / 2.0)

@@ -16,12 +16,14 @@ the last pair's vertices are the ends of every color's remaining path, so
 it closes exactly D faces, and each of the three ways to pair the least of
 four free vertices is scored from the boundary arrays alone.  Given a node
 budget, the same walk becomes a branch and bound.  It starts from the
-incumbent of one greedy descent, run on the walk's own state, and its ring
-bound on the faces left to close never prunes a tie, so it counts every
-optimal pairing and reports the lexicographically least witness (see
-`_scan`).  With a target too, it is a decision search that stops at the
-first pairing reaching the target, as the factorization verdict's pair
-question does.
+incumbent of one greedy descent, run on the walk's own state, and bounds
+the faces left to close twice: by a ring bound, from cycles between the
+path ends of neighbouring colors, and, in connected searches, by Gurau's
+degree bound less D for each join still missing.  Neither prunes a tie, so
+the walk counts every optimal pairing and reports the lexicographically
+least witness (see `_scan`).  With a target too, it is a decision search
+that stops at the first pairing reaching the target, as the factorization
+verdict's pair question does.
 """
 
 from __future__ import annotations
@@ -91,6 +93,22 @@ def _scan(
     room > D * r, else, above the last two levels, by the ring walk, which
     stops once F_ring can reach room.
 
+    With connected_only, while live > 1 union-find sets are still apart, a
+    second bound counts the joins missing.  The path ends of every color
+    make a boundary graph B on the free vertices, with q_B components, each
+    inside one live set.  A completion M joins them into p components of
+    B u M; each is a connected (D + 1)-colored graph of degree omega >= 0
+    (for D = 2, Euler's formula), so F_rest <= (D - 1) * r + D * p -
+    (D - 1) * q_B.  If M joins every live set, p <= q_B - (live - 1), and
+    F_rest <= (D - 1) * r + q_B - D * (live - 1): Gurau's degree bound less
+    D per missing join, at the root `scaling_defect`'s own formula.  A node
+    with two or more pairs to go is pruned when q_B falls short of need =
+    best - closed - (D - 1) * r + D * (live - 1).  It is kept at once if
+    need <= live, as every live set with free vertices holds a B-component;
+    pruned at once if need > r, as each B-component has two vertices or
+    more; else a search of B decides, stopping once q_B reaches need.
+    Histograms and unconnected walks never check it.
+
     best starts at the face count of an incumbent, the pairing reached by
     one greedy descent on the walk's state before the walk (the state is
     reset after it).  At each level the descent pairs the least free vertex
@@ -112,7 +130,8 @@ def _scan(
     no descent: best starts at target, so the bound prunes every subtree
     that cannot reach it, and the walk stops at the first counted leaf,
     returning it as witness with counts {F: 1}.  A walk that finds none
-    returns ({}, None, exact).
+    returns ({}, None, exact); on G u G, the connected bound at the root
+    alone rules out any target above 2 * (D - 1) * n - D + 2.
 
     The last two levels are scored in closed form, without splicing or
     recursing.  Each completion still counts as two nodes, its pair (u, v)
@@ -178,6 +197,33 @@ def _scan(
                         seen[y] = stamp
                         y = bd[y]
                 x = nxt[x]
+        return found
+
+    def boundary_components(cap: int) -> int:
+        """q_B of the free vertices, or cap once the count reaches it.
+
+        One stamped search over the boundary graph B, whose edges are every
+        color's path ends; it shares seen and stamp with ring_cycles.
+        """
+        nonlocal stamp
+        stamp += 1
+        found = 0
+        x = nxt[S]
+        while x != S:
+            if seen[x] != stamp:
+                found += 1
+                if found == cap:
+                    return cap
+                seen[x] = stamp
+                stack = [x]
+                while stack:
+                    y = stack.pop()
+                    for bc in bnd:
+                        z = bc[y]
+                        if seen[z] != stamp:
+                            seen[z] = stamp
+                            stack.append(z)
+            x = nxt[x]
         return found
 
     def unlink(x: int) -> None:
@@ -251,6 +297,10 @@ def _scan(
             room = 2 * (best - closed) - D * remaining
             if room > D * remaining:  # closed + D * remaining < best
                 return
+            if live > 1:
+                need = best - closed - (D - 1) * remaining + D * (live - 1)
+                if need > live and (need > remaining or boundary_components(need) < need):
+                    return
             if room > D and remaining > 2 and ring_cycles(room) < room:
                 return
         elif live > remaining:
@@ -756,7 +806,9 @@ def factorization_verdict(
     connected pairing of G u G with at least T = 2 * F_max(G) faces.  The
     copy pairing closes D * n, so D * n >= T settles it without a search.
     Otherwise the search runs under node_budget, and a truncated search
-    raises BudgetExceeded; a node_budget below 1 raises ValueError.
+    raises BudgetExceeded; a node_budget below 1 raises ValueError.  Where
+    T exceeds 2 * (D - 1) * n - D + 2, the most faces a connected pairing
+    of G u G can close, the search ends at its root (every melonic G).
     """
     if not G.is_connected:
         raise ValueError("factorization verdicts are stated for connected graphs")

@@ -8,7 +8,10 @@ from tensorwick.graphs import (
     new_dipole,
     random_colored_graph,
 )
+from tensorwick import numeric
 from tensorwick.numeric import (
+    DEFAULT_BATCH,
+    MAX_DRAW_FLOATS,
     TensorData,
     evaluate_trace_invariant,
     mc_moment,
@@ -194,3 +197,27 @@ def test_mc_moment_validation():
     for batch_size in (-20, -1, 0):
         with pytest.raises(ValueError, match="need batch_size >= 1"):
             mc_moment([new_dipole(3)], 2, 2, 10, seed=0, batch_size=batch_size)
+
+
+def test_default_batch_is_capped_by_its_draw(monkeypatch):
+    # the sampling benchmark's largest draw, D3 N8, stays uncapped; D4 N10
+    # with the default batch would draw 1.3 GB
+    assert MAX_DRAW_FLOATS // 8**3 >= DEFAULT_BATCH > MAX_DRAW_FLOATS // 10**4
+    batches = []
+    trace = numeric._trace
+
+    def spy(plan, draw):
+        batches.append(len(draw))
+        return trace(plan, draw)
+
+    monkeypatch.setattr(numeric, "_trace", spy)
+    monkeypatch.setattr(numeric, "MAX_DRAW_FLOATS", 300)
+    g = new_dipole(3)
+    # 27 floats a sample at N = 3, so batches of 300 // 27 = 11
+    capped = mc_moment([g], 3, 2, 50, seed=4)
+    assert batches == [11, 11, 11, 11, 6]
+    batches.clear()
+    assert mc_moment([g], 3, 2, 50, seed=4, batch_size=11) == capped
+    batches.clear()
+    mc_moment([g], 3, 2, 50, seed=4, batch_size=DEFAULT_BATCH)
+    assert batches == [50]

@@ -270,13 +270,13 @@ TRUNCATED_SINGLE = [(b, (10, 1, False, W10)) for b in range(1, 30)] + [
 ]
 DIVE = [(0, 4), (1, 3), (2, 5), (6, 7)]
 WU = [(0, 2), (1, 4), (3, 5), (6, 7)]
-TRUNCATED_UNION = [(b, (6, 1, False, DIVE)) for b in range(1, 36)] + [
-    (36, (6, 1, False, WU)),
-    (38, (6, 2, False, WU)),
-    (50, (6, 7, False, WU)),
-    (100, (6, 15, False, WU)),
-    (180, (6, 24, False, WU)),
-    (181, (6, 24, True, WU)),
+TRUNCATED_UNION = [(b, (6, 1, False, DIVE)) for b in range(1, 13)] + [
+    (13, (6, 1, False, WU)),
+    (15, (6, 2, False, WU)),
+    (38, (6, 12, False, WU)),
+    (100, (6, 18, False, WU)),
+    (157, (6, 24, False, WU)),
+    (158, (6, 24, True, WU)),
 ]
 
 
@@ -317,6 +317,48 @@ def test_ring_bound_at_the_root(D, n, seed):
     assert 2 * max(enumerate_histogram(g).counts) <= D * n + ring
 
 
+# two to four parts of total n 2-6, each a uniform graph or a melonic one:
+# melonic parts meet the connected bound, so a prune of a tie there loses
+# optima
+union_sizes = st.sampled_from(
+    [(1, 1), (1, 3), (2, 2), (1, 4), (2, 3), (3, 3), (2, 4), (1, 1, 1), (1, 1, 3), (1, 2, 2),
+     (1, 2, 3), (2, 2, 2), (1, 1, 1, 1), (1, 1, 1, 2), (1, 1, 2, 2)]
+)
+
+
+@given(st.integers(1, 8), union_sizes, st.lists(st.booleans(), min_size=4, max_size=4), st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_connected_bound_keeps_the_top_bin_and_the_least_witness(D, sizes, melonic, seed):
+    g = reduce(
+        disjoint_union,
+        [
+            random_melonic_graph(D, n - 1, seed + i) if mel else random_colored_graph(D, n, seed + i)
+            for i, (n, mel) in enumerate(zip(sizes, melonic))
+        ],
+    )
+    hist = brute_histogram(g, connected_only=True)
+    top = max(hist)
+    rep = max_scaling(g, connected_only=True)
+    assert rep.exact and (rep.F_max, rep.num_optimal) == (top, hist[top])
+    optima = [
+        tuple(m)
+        for m in all_matchings(2 * g.n)
+        if joined_connected(g, m) and faces_of(g, m) == top
+    ]
+    assert rep.witness.pairs == min(optima)
+
+
+@pytest.mark.parametrize("D", range(3, 7))
+def test_root_bound_settles_melonic_verdicts(D):
+    # a connected pairing of G u G closes at most 2 (D-1) n - D + 2 faces,
+    # below 2 F_max(G) = 2 + 2 (D-1) n for melonic G: the decision search
+    # on the pair prunes its root and is complete at one node
+    for n, seed in ((1, 0), (3, 1), (5, 2), (8, 3)):
+        g = random_melonic_graph(D, n - 1, seed)
+        target = 2 * (1 + (D - 1) * n)
+        assert _scan(disjoint_union(g, g), True, node_budget=1, target=target) == ({}, None, True)
+
+
 @given(st.integers(1, 4), part_sizes, st.integers(0, 10**6), st.booleans(), st.integers(-1, 1))
 @settings(max_examples=60, deadline=None)
 def test_decision_search_meets_its_target(D, sizes, seed, connected_only, offset):
@@ -346,10 +388,19 @@ def test_node_counts_of_the_bounded_search():
         g = random_colored_graph(D, n, seed)
         assert max_scaling(g, node_budget=least).exact
         assert not max_scaling(g, node_budget=least - 1).exact
+    # connected searches: the ring bound alone needed 70,082 nodes for G u G
+    # and 6,426 for the verdict, whose single search now needs the most
+    g = random_connected_graph(3, 5, seed=0)
+    union = disjoint_union(g, g)
+    assert max_scaling(union, True, node_budget=16297).exact
+    assert not max_scaling(union, True, node_budget=16296).exact
     g = random_connected_graph(3, 6, seed=2)
-    assert factorization_verdict(g, node_budget=6426).factorizes
+    assert factorization_verdict(g, node_budget=175).factorizes
     with pytest.raises(BudgetExceeded):
-        factorization_verdict(g, node_budget=6425)
+        factorization_verdict(g, node_budget=174)
+    union, target = disjoint_union(g, g), 2 * max_scaling(g).F_max
+    assert _scan(union, True, 144, target) == ({}, None, True)
+    assert not _scan(union, True, 143, target)[2]
 
 
 def test_max_scaling_beyond_histogram_cap():
