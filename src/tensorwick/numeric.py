@@ -142,13 +142,18 @@ def orthogonal_invariance_check(
 
 @dataclass(frozen=True)
 class MomentEstimate:
-    """Sample mean of a product of trace invariants over Gaussian tensors."""
+    """Sample mean of a product of trace invariants over Gaussian tensors.
+
+    batch_size is the batch the estimate was drawn in: the one asked for,
+    or the default as cut by MAX_DRAW_FLOATS.
+    """
 
     mean: float
     standard_error: float
     sample_count: int
     nu: Fraction
     seed: Optional[int]
+    batch_size: int
 
     def to_json_dict(self) -> dict:
         return {
@@ -157,6 +162,7 @@ class MomentEstimate:
             "samples": self.sample_count,
             "nu": str(self.nu),
             "seed": self.seed,
+            "batch_size": self.batch_size,
         }
 
 
@@ -212,4 +218,4 @@ def mc_moment(
         done += size
     mean = total / samples
     var = max(total_sq - samples * mean * mean, 0.0) / (samples - 1)
-    return MomentEstimate(mean, math.sqrt(var / samples), samples, nu, seed)
+    return MomentEstimate(mean, math.sqrt(var / samples), samples, nu, seed, int(batch_size))

@@ -7,28 +7,36 @@ connected part (classical cumulant) restricts the sum to pairings that join
 all graph components into one piece.  Everything here is exact integer or
 rational arithmetic; N never becomes a float.
 
-One engine, `_scan`, serves both histograms and maximization.  It walks
-pairings in canonical order (smallest free vertex first, partners
-ascending), keeping per-color alternating-path endpoints as flat partner
-arrays so each extension costs O(D): the splice of `graphs.splice`, which
-the walk's inner loop writes inline.  The last two levels need no splice:
-the last pair's vertices are the ends of every color's remaining path, so
-it closes exactly D faces, and each of the three ways to pair the least of
-four free vertices is scored from the boundary arrays alone.  Given a node
-budget, the same walk becomes a branch and bound.  It starts from the
-incumbent of one greedy descent, run on the walk's own state, and bounds
-the faces left to close twice: by a ring bound, from cycles between the
-path ends of neighbouring colors, and, in connected searches, by Gurau's
-degree bound less D for each join still missing.  Neither prunes a tie, so
-the walk counts every optimal pairing and reports the lexicographically
-least witness (see `_scan`).  With a target too, it is a decision search
-that stops at the first pairing reaching the target, as the factorization
-verdict's pair question does.
+Two walks place pairs in canonical order (smallest free vertex first,
+partners ascending) on one kind of state: per-color alternating-path
+endpoints as flat partner arrays, so each extension costs O(D) (the splice
+of `graphs.splice`, which `_scan`'s inner loop writes inline), a linked
+list of free vertices and a union-find over the graph's components.  The last two
+levels need no splice: the last pair's vertices are the ends of every
+color's remaining path, so it closes exactly D faces, and each of the three
+ways to pair the least of four free vertices is scored from the boundary
+arrays alone.
+
+`_histogram` sums the exact histograms.  The faces the rest of a pairing
+closes depend only on the boundary graph that the path ends make on the
+free vertices, so it memoizes the residual histogram of each state on that
+graph's canonical code, and pairing prefixes that leave isomorphic
+boundaries share one subtree.
+
+`_scan` maximizes, as a branch and bound under a node budget.  It starts
+from the incumbent of one greedy descent, run on the walk's own state, and
+bounds the faces left to close twice: by a ring bound, from cycles between
+the path ends of neighbouring colors, and, in connected searches, by
+Gurau's degree bound less D for each join still missing.  Neither prunes a
+tie, so the walk counts every optimal pairing and reports the
+lexicographically least witness (see `_scan`).  With a target too, it is a
+decision search that stops at the first pairing reaching the target, as
+the factorization verdict's pair question does.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from typing import Optional, Sequence
@@ -44,9 +52,9 @@ from .graphs import (
     unsplice,
 )
 
-# refuse exhaustive sums past |M_10| = 654,729,075; a D = 3 histogram takes
-# about 1.6 s at n = 8, 29 s at n = 9 and 9 minutes at n = 10 (extrapolated
-# at 0.8 us per pairing, one core of a 2-core x86 host, Python 3.11)
+# refuse histograms past n = 10, |M_10| = 654,729,075 pairings; the memoized
+# sum takes about 0.1 s, 0.6 s and 2.1 s at D = 3 and n = 8, 9, 10, and
+# 0.7 s, 7 s and 42 s at D = 4 (one core of a 2-core x86 host, Python 3.11)
 DEFAULT_HISTOGRAM_CAP = 10
 DEFAULT_NODE_BUDGET = 20_000_000
 
@@ -66,10 +74,10 @@ class _Hit(Exception):
 def _scan(
     G: ColoredGraph,
     connected_only: bool,
-    node_budget: Optional[int] = None,
+    node_budget: int,
     target: Optional[int] = None,
 ) -> tuple[dict[int, int], Optional[list[tuple[int, int]]], bool]:
-    """Depth-first walk over the perfect pairings of G, in lexicographic order.
+    """Branch and bound over the perfect pairings of G, in lexicographic order.
 
     Returns (counts, witness, exact).  counts maps each face count to the
     number of visited pairings attaining it (with connected_only, only
@@ -80,18 +88,16 @@ def _scan(
     arrays bnd, spliced and unspliced as pairs are placed; the free vertices
     as a doubly linked list; and a union-find over the components.
 
-    Without node_budget every pairing is visited and counts is the full
-    histogram; with connected_only, subtrees that can no longer join every
-    component are skipped.  With a budget, every level of the walk counts
-    as a node and a subtree is pruned when even its best completion falls
-    short of best.  With r pairs to go, color c's path ends pair the 2r free
-    vertices by a matching b_c.  d(a, b) = r - cyc(a u b) is a metric on
-    such matchings, so every completion M has cyc(M, b_c) + cyc(M, b_d) <=
-    r + cyc(b_c, b_d); over the ring pairs (c, c - 1 mod D) each color
-    appears twice, so 2 * F_rest <= D * r + F_ring.  A node is pruned when
-    room = 2 * (best - closed) - D * r exceeds F_ring: at once if
-    room > D * r, else, above the last two levels, by the ring walk, which
-    stops once F_ring can reach room.
+    Every level of the walk counts as a node against node_budget, and a
+    subtree is pruned when even its best completion falls short of best.
+    With r pairs to go, color c's path ends pair the 2r free vertices by a
+    matching b_c.  d(a, b) = r - cyc(a u b) is a metric on such matchings,
+    so every completion M has cyc(M, b_c) + cyc(M, b_d) <= r + cyc(b_c,
+    b_d); over the ring pairs (c, c - 1 mod D) each color appears twice, so
+    2 * F_rest <= D * r + F_ring.  A node is pruned when room = 2 * (best -
+    closed) - D * r exceeds F_ring: at once if room > D * r, else, above
+    the last two levels, by the ring walk, which stops once F_ring can
+    reach room.
 
     With connected_only, while live > 1 union-find sets are still apart, a
     second bound counts the joins missing.  The path ends of every color
@@ -107,7 +113,7 @@ def _scan(
     need <= live, as every live set with free vertices holds a B-component;
     pruned at once if need > r, as each B-component has two vertices or
     more; else a search of B decides, stopping once q_B reaches need.
-    Histograms and unconnected walks never check it.
+    Unconnected walks never check it.
 
     best starts at the face count of an incumbent, the pairing reached by
     one greedy descent on the walk's state before the walk (the state is
@@ -126,12 +132,12 @@ def _scan(
     is False; if it reached no leaf at or above the incumbent, the
     incumbent is returned as ({F: 1}, pairing, False).
 
-    With a target (which needs a budget) the walk is a decision search with
-    no descent: best starts at target, so the bound prunes every subtree
-    that cannot reach it, and the walk stops at the first counted leaf,
-    returning it as witness with counts {F: 1}.  A walk that finds none
-    returns ({}, None, exact); on G u G, the connected bound at the root
-    alone rules out any target above 2 * (D - 1) * n - D + 2.
+    With a target the walk is a decision search with no descent: best
+    starts at target, so the bound prunes every subtree that cannot reach
+    it, and the walk stops at the first counted leaf, returning it as
+    witness with counts {F: 1}.  A walk that finds none returns ({}, None,
+    exact); on G u G, the connected bound at the root alone rules out any
+    target above 2 * (D - 1) * n - D + 2.
 
     The last two levels are scored in closed form, without splicing or
     recursing.  Each completion still counts as two nodes, its pair (u, v)
@@ -142,7 +148,6 @@ def _scan(
     D = G.D
     two_n = 2 * G.n
     comp_ids, q = G.component_ids()
-    bounded = node_budget is not None
     decide = target is not None
     if two_n == 2:
         # one pairing closing D faces; the walk is a root and a leaf node
@@ -151,7 +156,7 @@ def _scan(
                 return {}, None, False
             if D < target:
                 return {}, None, True
-        return {D: 1}, [(0, 1)], not bounded or node_budget >= 2
+        return {D: 1}, [(0, 1)], node_budget >= 2
     bnd = [list(p) for p in G.partner_arrays()]
     S = two_n  # sentinel of the doubly linked free list
     nxt = list(range(1, two_n + 1)) + [0]
@@ -281,31 +286,24 @@ def _scan(
 
     if decide:
         best = target
-    elif bounded:
-        best, incumbent = descend()
     else:
-        best = -1
+        best, incumbent = descend()
 
     def rec(remaining: int, closed: int, live: int) -> None:
         nonlocal nodes, exact, best, witness
         u = nxt[S]
-        if bounded:
-            nodes += 1
-            if nodes > node_budget:
-                exact = False
+        nodes += 1
+        if nodes > node_budget:
+            exact = False
+            return
+        room = 2 * (best - closed) - D * remaining
+        if room > D * remaining:  # closed + D * remaining < best
+            return
+        if live > 1:
+            need = best - closed - (D - 1) * remaining + D * (live - 1)
+            if need > live and (need > remaining or boundary_components(need) < need):
                 return
-            room = 2 * (best - closed) - D * remaining
-            if room > D * remaining:  # closed + D * remaining < best
-                return
-            if live > 1:
-                need = best - closed - (D - 1) * remaining + D * (live - 1)
-                if need > live and (need > remaining or boundary_components(need) < need):
-                    return
-            if room > D and remaining > 2 and ring_cycles(room) < room:
-                return
-        elif live > remaining:
-            # each pair but the last merges at most one union-find set, so
-            # no pairing below joins every component
+        if room > D and remaining > 2 and ring_cycles(room) < room:
             return
         if remaining == 2:
             # Free vertices u < a < b < c.  Pairing (u, v) closes the colors
@@ -328,17 +326,16 @@ def _scan(
             if live == 2:
                 ru = find(comp_ids[u])
             for v, f in scores:
-                if bounded:
-                    nodes += 1
-                    if nodes > node_budget:
-                        exact = False
-                        return
-                    if f < best:
-                        continue
-                    nodes += 1
-                    if nodes > node_budget:
-                        exact = False
-                        return
+                nodes += 1
+                if nodes > node_budget:
+                    exact = False
+                    return
+                if f < best:
+                    continue
+                nodes += 1
+                if nodes > node_budget:
+                    exact = False
+                    return
                 # every union-find set holds an even number of free vertices,
                 # so the last pair shares one and only (u, v) can merge two
                 if live > 1 and (live > 2 or find(comp_ids[v]) == ru):
@@ -411,10 +408,226 @@ def _scan(
         rec(two_n // 2, 0, q if connected_only else 1)
     except _Hit:
         pass
-    if witness is None and bounded and not decide:
+    if witness is None and not decide:
         # truncated before any leaf reached the incumbent
         return {best: 1}, incumbent, False
     return counts, witness, exact
+
+
+def _histogram(G: ColoredGraph, connected_only: bool) -> tuple[dict[int, int], int]:
+    """Face histogram of G by a recursion memoized on boundary states.
+
+    Returns (counts, states): counts maps each face count to the number of
+    pairings attaining it (with connected_only, of pairings joining all q
+    components); states is the number of distinct boundary states expanded.
+
+    The walk places pairs as `_scan` does, least free vertex first, on the
+    same state: path-end partner arrays bnd, a linked free list and, with
+    connected_only, a union-find over the components.  With r pairs to go,
+    the faces the rest of a pairing closes depend only on the boundary
+    graph B: the free vertices, joined by every color's path ends.  So each
+    level returns its residual histogram, the faces closed below it, and
+    adds its children's, each shifted by the faces its pair closes.  A
+    histogram is kept as its generating polynomial evaluated at x = 2**k,
+    one big int: counts never reach |M_n| < 2**k, so the count of f faces
+    is bits k*f to k*f + k - 1, a shift multiplies by x**d and the sum of
+    two histograms is the sum of their ints.
+
+    States with 4 to 127 pairs to go are memoized for the call, keyed on
+    the isomorphism class of B: below 4 a subtree costs less than its key,
+    and above 127 a label no longer fits a byte below 255.  Edge-colored
+    graphs are rigid once a root is fixed, so a breadth-first walk from a
+    root, visiting colors in order, labels each vertex by its discovery
+    rank; the code lists the labels of every vertex's neighbours in label
+    order, one byte each.  A component's key is its least code over the
+    roots whose signature, the lengths of the cycles of the ring color
+    pairs (c, c - 1) through them, is least, and B's key joins the sorted
+    component codes.  Each code closes its own component (the labels used
+    equal the vertices read), so the joined bytes are unambiguous.  With
+    connected_only, B's components are grouped by union-find set and the
+    groups, each keyed alike, are joined by a byte no label takes; a set
+    with no free vertex can never be joined, so such a state adds
+    nothing.
+
+    The last two levels are scored in closed form, as in `_scan`.
+    """
+    D = G.D
+    n = G.n
+    if n == 1:
+        return {D: 1}, 0
+    two_n = 2 * n
+    comp_ids, q = G.component_ids()
+    bnd = [list(p) for p in G.partner_arrays()]
+    S = two_n  # sentinel of the doubly linked free list
+    nxt = list(range(1, two_n + 1)) + [0]
+    prv = [S] + list(range(two_n - 1)) + [two_n - 1]
+    par = list(range(q))
+    k = count_matchings(n).bit_length()
+    x_to = [1 << k * f for f in range(2 * D + 1)]  # x**f for the last two levels
+    ring = [(bnd[c], bnd[c - 1]) for c in range(D)]
+    seen = [0] * two_n  # seen[x] == stamp marks x as reached by this walk
+    stamp = 0
+    sig = [0] * two_n  # ring signature of each free vertex
+    label = [-1] * two_n  # BFS labels of the code being written
+    memo: dict[bytes, int] = {}
+
+    def find(c: int) -> int:
+        while par[c] != c:
+            c = par[c]
+        return c
+
+    def least_code(roots: list[int]) -> bytes:
+        """The least code over the roots; a walk stops once it is larger."""
+        best = None
+        for root in roots:
+            label[root] = 0
+            order = [root]
+            code = []
+            below = best is None  # already smaller than best
+            above = False
+            for y in order:
+                for bc in bnd:
+                    z = bc[y]
+                    lz = label[z]
+                    if lz < 0:
+                        lz = label[z] = len(order)
+                        order.append(z)
+                    if not below:
+                        lb = best[len(code)]
+                        if lz > lb:
+                            above = True
+                            break
+                        below = lz < lb
+                    code.append(lz)
+                if above:
+                    break
+            if not above:
+                best = code
+            for y in order:
+                label[y] = -1
+        return bytes(best)
+
+    def state_key(live: int) -> Optional[bytes]:
+        """The canonical code of B (with its grouping), None for a dead state."""
+        nonlocal stamp
+        free = []
+        x = nxt[S]
+        while x != S:
+            free.append(x)
+            sig[x] = 0
+            x = nxt[x]
+        base = len(free) + 1
+        for bc, bd in ring:
+            stamp += 1
+            for x in free:
+                if seen[x] != stamp:
+                    cycle = []
+                    y = x
+                    while seen[y] != stamp:
+                        seen[y] = stamp
+                        cycle.append(y)
+                        y = bc[y]
+                        seen[y] = stamp
+                        cycle.append(y)
+                        y = bd[y]
+                    length = len(cycle)
+                    for y in cycle:
+                        sig[y] = sig[y] * base + length
+        groups: dict[int, list[bytes]] = {}
+        stamp += 1
+        for x in free:
+            if seen[x] == stamp:
+                continue
+            members = [x]
+            seen[x] = stamp
+            for y in members:
+                for bc in bnd:
+                    z = bc[y]
+                    if seen[z] != stamp:
+                        seen[z] = stamp
+                        members.append(z)
+            least = min([sig[y] for y in members])
+            code = least_code([y for y in members if sig[y] == least])
+            groups.setdefault(find(comp_ids[x]) if live > 1 else 0, []).append(code)
+        if len(groups) < live:
+            return None
+        return b"\xff".join(sorted(b"".join(sorted(g)) for g in groups.values()))
+
+    def rec(remaining: int, live: int) -> int:
+        u = nxt[S]
+        if remaining == 2:
+            # free vertices u < a < b < c, as in _scan's closed form
+            if live > 2:
+                return 0
+            a = nxt[u]
+            b = nxt[a]
+            c = nxt[b]
+            ka = kb = 0
+            for bc in bnd:
+                x = bc[u]
+                if x == a:
+                    ka += 1
+                elif x == b:
+                    kb += 1
+            if live == 1:
+                return x_to[D + ka] + x_to[D + kb] + x_to[2 * D - ka - kb]
+            ru = find(comp_ids[u])
+            h = 0
+            for v, f in ((a, D + ka), (b, D + kb), (c, 2 * D - ka - kb)):
+                if find(comp_ids[v]) != ru:
+                    h += x_to[f]
+            return h
+        key = None
+        if 4 <= remaining <= 127:
+            key = state_key(live)
+            if key is None:
+                return 0
+            h = memo.get(key)
+            if h is not None:
+                return h
+        h = 0
+        u_next = nxt[u]
+        nxt[S] = u_next
+        prv[u_next] = S
+        v = u_next
+        while v != S:
+            pv_, nv_ = prv[v], nxt[v]
+            nxt[pv_] = nv_
+            prv[nv_] = pv_
+            dclosed = splice(bnd, u, v)
+            merged = -1
+            lv = live
+            if lv > 1:
+                ru = find(comp_ids[u])
+                rv = find(comp_ids[v])
+                if ru != rv:
+                    par[rv] = ru
+                    merged = rv
+                    lv -= 1
+            h += rec(remaining - 1, lv) << k * dclosed
+            if merged >= 0:
+                par[merged] = merged
+            unsplice(bnd, u, v)
+            nxt[pv_] = v
+            prv[nv_] = v
+            v = nv_
+        nxt[S] = u
+        prv[u_next] = u
+        if key is not None:
+            memo[key] = h
+        return h
+
+    h = rec(n, q if connected_only else 1)
+    mask = (1 << k) - 1
+    counts = {}
+    f = 0
+    while h:
+        c = h & mask
+        if c:
+            counts[f] = c
+        h >>= k
+        f += 1
+    return counts, len(memo)
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +646,9 @@ class FaceHistogram:
     connected_only: bool
     n: int
     D: int
+    # boundary states the memoized recursion expanded; a work count, kept
+    # out of equality and of the JSON report
+    states: int = field(default=0, compare=False)
 
     @property
     def total_pairings(self) -> int:
@@ -456,14 +672,18 @@ def enumerate_histogram(
     connected_only: bool = False,
     budget: int = DEFAULT_HISTOGRAM_CAP,
 ) -> FaceHistogram:
-    """Exact face-count histogram by exhaustive enumeration over pairings."""
+    """Exact face-count histogram over every pairing of G's vertices.
+
+    Graphs with n above budget are refused.  The sum is `_histogram`'s
+    memoized recursion; states counts the boundary states it expanded.
+    """
     if G.n > budget:
         raise BudgetExceeded(
             f"exhaustive enumeration over {count_matchings(G.n)} pairings "
             f"(n={G.n}) exceeds the configured budget n <= {budget}"
         )
-    counts, _, _ = _scan(G, connected_only)
-    return FaceHistogram(counts, connected_only, G.n, G.D)
+    counts, states = _histogram(G, connected_only)
+    return FaceHistogram(counts, connected_only, G.n, G.D, states)
 
 
 class ExpectationPoly:

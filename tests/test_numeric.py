@@ -216,8 +216,20 @@ def test_default_batch_is_capped_by_its_draw(monkeypatch):
     # 27 floats a sample at N = 3, so batches of 300 // 27 = 11
     capped = mc_moment([g], 3, 2, 50, seed=4)
     assert batches == [11, 11, 11, 11, 6]
+    assert capped.batch_size == 11 and capped.to_json_dict()["batch_size"] == 11
     batches.clear()
     assert mc_moment([g], 3, 2, 50, seed=4, batch_size=11) == capped
     batches.clear()
-    mc_moment([g], 3, 2, 50, seed=4, batch_size=DEFAULT_BATCH)
+    est = mc_moment([g], 3, 2, 50, seed=4, batch_size=DEFAULT_BATCH)
     assert batches == [50]
+    # the batch asked for is echoed, not the samples drawn
+    assert est.batch_size == DEFAULT_BATCH
+
+
+def test_estimate_echoes_the_batch_used():
+    # the default is cut to 2**25 // 7**4 at D4 N7; an explicit batch is kept
+    est = mc_moment([new_dipole(4)], 7, 3, 3, seed=0)
+    assert est.batch_size == 13_975 and type(est.batch_size) is int
+    assert est.to_json_dict()["batch_size"] == 13_975
+    assert mc_moment([new_dipole(3)], 2, 2, 3, seed=0).batch_size == DEFAULT_BATCH
+    assert mc_moment([new_dipole(3)], 2, 2, 3, seed=0, batch_size=2).batch_size == 2

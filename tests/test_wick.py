@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 from functools import reduce
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from tensorwick.faces import count_bicolored_cycles, total_faces
 from tensorwick.graphs import (
+    ColoredGraph,
     Matching,
     count_matchings,
     disjoint_union,
@@ -20,6 +22,7 @@ from tensorwick.wick import (
     DEFAULT_NODE_BUDGET,
     BudgetExceeded,
     ExpectationPoly,
+    FaceHistogram,
     cumulant_poly,
     enumerate_histogram,
     expectation_poly,
@@ -96,6 +99,75 @@ def test_histogram_matches_brute_force(D, sizes, seed, connected_only):
         enumerate_histogram(g, connected_only=connected_only).counts
         == brute_histogram(g, connected_only=connected_only)
     )
+
+
+@given(st.integers(1, 8), bound_sizes, st.integers(0, 10**6), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_memoized_histogram_matches_brute_force(D, sizes, seed, connected_only):
+    # total n 5-6: states with four pairs to go are memoized and shared
+    g = graph_of_parts(D, sizes, seed)
+    assert (
+        enumerate_histogram(g, connected_only=connected_only).counts
+        == brute_histogram(g, connected_only=connected_only)
+    )
+
+
+def relabeled(g, perm, colors):
+    """g with vertex x renamed perm[x] and color i taken from colors[i]."""
+    return ColoredGraph(
+        [Matching([(perm[u], perm[v]) for u, v in g.matchings[c].pairs], 2 * g.n) for c in colors]
+    )
+
+
+@given(st.integers(1, 6), st.one_of(part_sizes, bound_sizes), st.integers(0, 10**6), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_histogram_ignores_vertex_and_color_names(D, sizes, seed, connected_only):
+    # the memo keys boundary states up to vertex names only; renaming
+    # vertices and colors reaches other states in another order
+    g = graph_of_parts(D, sizes, seed)
+    rng = random.Random(seed)
+    perm = list(range(2 * g.n))
+    rng.shuffle(perm)
+    colors = list(range(D))
+    rng.shuffle(colors)
+    h = enumerate_histogram(relabeled(g, perm, colors), connected_only=connected_only)
+    assert h.counts == enumerate_histogram(g, connected_only=connected_only).counts
+
+
+# computed pairing by pairing, by an exhaustive walk without the memo
+HISTOGRAM_PINS = [
+    (
+        lambda: random_colored_graph(3, 8, 1),
+        False,
+        {3: 62240, 4: 248692, 5: 457440, 6: 514065, 7: 394759, 8: 219651, 9: 91769,
+         10: 29377, 11: 7281, 12: 1461, 13: 255, 14: 33, 15: 2},
+        505,
+    ),
+    (
+        lambda: random_colored_graph(4, 8, 1),
+        False,
+        {4: 18988, 5: 102698, 6: 257944, 7: 407682, 8: 449349, 9: 371060, 10: 235549,
+         11: 117748, 12: 46656, 13: 14751, 14: 3751, 15: 719, 16: 115, 17: 14, 18: 1},
+        5394,
+    ),
+    (
+        lambda: disjoint_union(random_connected_graph(3, 3, 1), random_connected_graph(3, 4, 2)),
+        True,
+        {3: 5728, 4: 21344, 5: 32064, 6: 33692, 7: 22720, 8: 11232, 9: 4800, 10: 1524,
+         11: 384, 12: 72},
+        58,
+    ),
+]
+
+
+@pytest.mark.parametrize("make, connected_only, counts, states", HISTOGRAM_PINS)
+def test_histogram_pins_and_state_counts(make, connected_only, counts, states):
+    h = enumerate_histogram(make(), connected_only=connected_only)
+    assert h.counts == counts
+    # the work count is deterministic, and stays out of the report
+    assert h.states == states
+    assert "states" not in h.to_json_dict()
+    assert h == FaceHistogram(counts, connected_only, h.n, h.D)
 
 
 def test_expectation_poly_examples():
@@ -404,7 +476,7 @@ def test_node_counts_of_the_bounded_search():
 
 
 def test_max_scaling_beyond_histogram_cap():
-    # pruning reaches sizes where exhaustive histograms are hopeless
+    # pruning answers where a histogram sums millions of pairings
     g = random_melonic_graph(3, 9, seed=2)  # 20 vertices
     rep = max_scaling(g)
     assert rep.exact
