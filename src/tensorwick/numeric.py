@@ -182,6 +182,9 @@ def mc_moment(
     draws batch_size * N**D floats.  The default batch is cut to
     MAX_DRAW_FLOATS // N**D samples where it would draw more (from N**D >
     2048 on, such as D = 4, N = 7); an explicit batch_size is used as given.
+    The variance merges each batch's mean and squared deviations from it by
+    Chan's pairwise update, so a mean large against the spread does not
+    cancel it away.
     """
     if not graphs:
         raise ValueError("need at least one graph")
@@ -204,7 +207,8 @@ def mc_moment(
     n_batches = (samples + batch_size - 1) // batch_size
     children = root.spawn(n_batches)
     total = 0.0
-    total_sq = 0.0
+    run_mean = 0.0  # mean of the batches merged so far
+    m2 = 0.0  # their sum of squared deviations from run_mean
     done = 0
     for b in range(n_batches):
         size = min(batch_size, samples - done)
@@ -213,9 +217,15 @@ def mc_moment(
         vals = np.ones(size)
         for plan in plans:
             vals = vals * _trace(plan, draw)
-        total += float(vals.sum())
-        total_sq += float(vals @ vals)
-        done += size
+        batch_sum = float(vals.sum())
+        batch_mean = batch_sum / size
+        dev = vals - batch_mean
+        delta = batch_mean - run_mean
+        merged = done + size
+        run_mean += delta * size / merged
+        m2 += float(dev @ dev) + delta * delta * done * size / merged
+        total += batch_sum
+        done = merged
     mean = total / samples
-    var = max(total_sq - samples * mean * mean, 0.0) / (samples - 1)
+    var = m2 / (samples - 1)
     return MomentEstimate(mean, math.sqrt(var / samples), samples, nu, seed, int(batch_size))

@@ -21,7 +21,10 @@ arrays alone.
 closes depend only on the boundary graph that the path ends make on the
 free vertices, so it memoizes the residual histogram of each state on that
 graph's canonical code, and pairing prefixes that leave isomorphic
-boundaries share one subtree.
+boundaries share one subtree.  With three pairs to go, once all
+components are joined, a cheaper key that ignores the colors' order takes
+over, and a table of the 15 matchings of six points scores every
+completion at once.
 
 `_scan` maximizes, as a branch and bound under a node budget.  It starts
 from the incumbent of one greedy descent, run on the walk's own state, and
@@ -53,8 +56,9 @@ from .graphs import (
 )
 
 # refuse histograms past n = 10, |M_10| = 654,729,075 pairings; the memoized
-# sum takes about 0.1 s, 0.6 s and 2.1 s at D = 3 and n = 8, 9, 10, and
-# 0.7 s, 7 s and 42 s at D = 4 (one core of a 2-core x86 host, Python 3.11)
+# sum takes about 0.07 s, 0.5-0.7 s and 2.2 s at D = 3 and n = 8, 9, 10, and
+# 0.3 s, 3.2 s and 42 s at D = 4 (one core of a shared 2-core x86 host,
+# Python 3.11, seed 1; its speed drifts by up to 1.5x)
 DEFAULT_HISTOGRAM_CAP = 10
 DEFAULT_NODE_BUDGET = 20_000_000
 
@@ -414,12 +418,39 @@ def _scan(
     return counts, witness, exact
 
 
+def _pairings(points: tuple) -> list[frozenset]:
+    """Every perfect matching of points, each a frozenset of pairs."""
+    if not points:
+        return [frozenset()]
+    u = points[0]
+    return [
+        rest | {(u, v)}
+        for i, v in enumerate(points[1:], 1)
+        for rest in _pairings(points[1:i] + points[i + 1 :])
+    ]
+
+
+# The 15 matchings of six points.  P u Q is a union of even cycles, one per
+# shared pair and one more through the other points unless P == Q, so
+# cycles(P u Q) - 1 = |P & Q| - [P == Q].
+_SIX = _pairings(tuple(range(6)))
+_SIX_OVERLAP = [[len(P & Q) - (P == Q) for Q in _SIX] for P in _SIX]
+# a matching's index in _SIX from the partners p0, p1, p2 of points 0, 1, 2,
+# at 36 * p0 + 6 * p1 + p2 (-1 where no matching has them)
+_SIX_INDEX = [-1] * 216
+for _i, _P in enumerate(_SIX):
+    _p = dict(_P) | {b: a for a, b in _P}
+    _SIX_INDEX[36 * _p[0] + 6 * _p[1] + _p[2]] = _i
+del _i, _P, _p
+
+
 def _histogram(G: ColoredGraph, connected_only: bool) -> tuple[dict[int, int], int]:
     """Face histogram of G by a recursion memoized on boundary states.
 
     Returns (counts, states): counts maps each face count to the number of
     pairings attaining it (with connected_only, of pairings joining all q
-    components); states is the number of distinct boundary states expanded.
+    components); states is the number of entries of the two memos below,
+    the canonical one and the six-point table's.
 
     The walk places pairs as `_scan` does, least free vertex first, on the
     same state: path-end partner arrays bnd, a linked free list and, with
@@ -433,23 +464,39 @@ def _histogram(G: ColoredGraph, connected_only: bool) -> tuple[dict[int, int], i
     is bits k*f to k*f + k - 1, a shift multiplies by x**d and the sum of
     two histograms is the sum of their ints.
 
-    States with 4 to 127 pairs to go are memoized for the call, keyed on
-    the isomorphism class of B: below 4 a subtree costs less than its key,
-    and above 127 a label no longer fits a byte below 255.  Edge-colored
-    graphs are rigid once a root is fixed, so a breadth-first walk from a
-    root, visiting colors in order, labels each vertex by its discovery
-    rank; the code lists the labels of every vertex's neighbours in label
-    order, one byte each.  A component's key is its least code over the
-    roots whose signature, the lengths of the cycles of the ring color
-    pairs (c, c - 1) through them, is least, and B's key joins the sorted
-    component codes.  Each code closes its own component (the labels used
-    equal the vertices read), so the joined bytes are unambiguous.  With
-    connected_only, B's components are grouped by union-find set and the
-    groups, each keyed alike, are joined by a byte no label takes; a set
-    with no free vertex can never be joined, so such a state adds
-    nothing.
+    States with 5 to 127 pairs to go, and with 4 while union-find sets are
+    still apart, are memoized for the call, keyed on the isomorphism class
+    of B: lower down a subtree costs less than its key, and above 127 a
+    label no longer fits a byte below 255.  Edge-colored graphs are rigid
+    once a root is fixed, so a breadth-first walk from a root, visiting
+    colors in order, labels each vertex by its discovery rank; the code
+    lists the labels of every vertex's neighbours in label order, one byte
+    each.  A component's key is its least code over the roots whose
+    signature, the lengths of the cycles of the ring color pairs (c, c - 1)
+    through them, is least, and B's key joins the sorted component codes.
+    Each code closes its own component (the labels used equal the vertices
+    read), so the joined bytes are unambiguous.  With connected_only, B's
+    components are grouped by union-find set and the groups, each keyed
+    alike, are joined by a byte no label takes; a set with no free vertex
+    can never be joined, so such a state adds nothing.
 
-    The last two levels are scored in closed form, as in `_scan`.
+    Once every set is joined (live == 1), 3 pairs to go take a cheaper,
+    color-free key.  Rank the six free vertices 0..5 in list order; color
+    c's path ends pair them by a matching B_c, and the faces a completion P
+    closes, F(P) = sum over c of cycles(P u B_c), depend only on the
+    multiset of the B_c, not on the colors' order.  All 15 completions are
+    scored from the 15 x 15 table _SIX_OVERLAP of cycles(P u Q) - 1: the
+    key is the sum over c of B_c's row, packed w bits a field, so field P
+    holds F(P) - D, and the residual histogram is read off its 15 fields.
+    The table is invertible, so the key stands for the multiset of the B_c
+    and nothing coarser.  Its memo is a dict of its own, so its int keys
+    never meet the canonical bytes.  With 4 pairs to go and every set
+    joined the state is not memoized: there a key, canonical or the sorted
+    rank codes of the B_c, cost more than its hits saved.
+
+    The last two levels, where the walk still reaches them (at n = 2, or
+    with sets still apart at 3 pairs to go), are scored in closed form, as
+    in `_scan`.
     """
     D = G.D
     n = G.n
@@ -463,13 +510,21 @@ def _histogram(G: ColoredGraph, connected_only: bool) -> tuple[dict[int, int], i
     prv = [S] + list(range(two_n - 1)) + [two_n - 1]
     par = list(range(q))
     k = count_matchings(n).bit_length()
-    x_to = [1 << k * f for f in range(2 * D + 1)]  # x**f for the last two levels
+    x_to = [1 << k * f for f in range(3 * D + 1)]  # x**f for the last three levels
     ring = [(bnd[c], bnd[c - 1]) for c in range(D)]
     seen = [0] * two_n  # seen[x] == stamp marks x as reached by this walk
     stamp = 0
     sig = [0] * two_n  # ring signature of each free vertex
     label = [-1] * two_n  # BFS labels of the code being written
-    memo: dict[bytes, int] = {}
+    memo: dict[bytes, int] = {}  # canonical codes
+    memo3: dict[int, int] = {}  # packed table rows, 3 pairs to go, live == 1
+    rank = [0] * two_n  # rank of each free vertex in list order
+    w = (2 * D).bit_length()  # bits of one field; a field is at most 2 * D
+    w_mask = (1 << w) - 1
+    six_row = [
+        0 if i < 0 else sum(t << w * j for j, t in enumerate(_SIX_OVERLAP[i]))
+        for i in _SIX_INDEX
+    ]
 
     def find(c: int) -> int:
         while par[c] != c:
@@ -577,8 +632,30 @@ def _histogram(G: ColoredGraph, connected_only: bool) -> tuple[dict[int, int], i
                 if find(comp_ids[v]) != ru:
                     h += x_to[f]
             return h
+        if live == 1 and remaining == 3:
+            # rank the six free vertices and sum the colors' table rows
+            a = nxt[u]
+            b = nxt[a]
+            c = nxt[b]
+            d = nxt[c]
+            rank[u] = 0
+            rank[a] = 1
+            rank[b] = 2
+            rank[c] = 3
+            rank[d] = 4
+            rank[nxt[d]] = 5
+            key = 0
+            for bc in bnd:
+                key += six_row[36 * rank[bc[u]] + 6 * rank[bc[a]] + rank[bc[b]]]
+            h = memo3.get(key)
+            if h is None:
+                h = 0
+                for i in range(0, 15 * w, w):
+                    h += x_to[D + (key >> i & w_mask)]
+                memo3[key] = h
+            return h
         key = None
-        if 4 <= remaining <= 127:
+        if 4 < remaining <= 127 or remaining == 4 and live > 1:
             key = state_key(live)
             if key is None:
                 return 0
@@ -618,6 +695,8 @@ def _histogram(G: ColoredGraph, connected_only: bool) -> tuple[dict[int, int], i
         return h
 
     h = rec(n, q if connected_only else 1)
+    states = len(memo) + len(memo3)
+    del rec  # rec refers to itself: free the memos now, not at the next gc
     mask = (1 << k) - 1
     counts = {}
     f = 0
@@ -627,7 +706,7 @@ def _histogram(G: ColoredGraph, connected_only: bool) -> tuple[dict[int, int], i
             counts[f] = c
         h >>= k
         f += 1
-    return counts, len(memo)
+    return counts, states
 
 
 # ---------------------------------------------------------------------------
@@ -646,7 +725,8 @@ class FaceHistogram:
     connected_only: bool
     n: int
     D: int
-    # boundary states the memoized recursion expanded; a work count, kept
+    # boundary states the memoized recursion stored, the entries of its
+    # canonical memo and of its six-point table memo; a work count, kept
     # out of equality and of the JSON report
     states: int = field(default=0, compare=False)
 
@@ -675,7 +755,9 @@ def enumerate_histogram(
     """Exact face-count histogram over every pairing of G's vertices.
 
     Graphs with n above budget are refused.  The sum is `_histogram`'s
-    memoized recursion; states counts the boundary states it expanded.
+    memoized recursion; states counts the boundary states it stored, the
+    memo entries of both key kinds (canonical codes and six-point table
+    keys).
     """
     if G.n > budget:
         raise BudgetExceeded(

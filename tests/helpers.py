@@ -237,3 +237,113 @@ def two_color_cycle(n: int) -> ColoredGraph:
     m1 = Matching([(i, i + 1) for i in range(0, 2 * n, 2)], 2 * n)
     m2 = Matching([(i, (i + 1) % (2 * n)) for i in range(1, 2 * n, 2)], 2 * n)
     return ColoredGraph([m1, m2])
+
+
+def memo_state_count(G: ColoredGraph, connected_only: bool = False) -> tuple[int, int]:
+    """The entries of `wick._histogram`'s memos, split (canonical, table).
+
+    Walks the pairing prefixes in the histogram's order (least free vertex
+    first, partners ascending) and skips the subtree of every state whose
+    key was seen before.  Each boundary matching is found by walking the
+    alternating paths from scratch, the components' joins by union-find,
+    and the isomorphism class of the boundary graph by a depth-first code
+    minimized over every root.  Keys are canonical with 5 or more pairs to
+    go, or 4 while components are still apart; with 3 pairs to go once all
+    are joined, the multiset of the colors' boundary matchings, each as
+    pairs of ranks among the six free vertices.
+    """
+    D, two_n = G.D, 2 * G.n
+    partners = G.partner_arrays()
+    comp = [0] * two_n
+    parent = list(range(two_n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for m in G.matchings:
+        for u, v in m.pairs:
+            parent[find(u)] = find(v)
+    roots = sorted({find(x) for x in range(two_n)})
+    for x in range(two_n):
+        comp[x] = roots.index(find(x))
+    q = len(roots) if connected_only else 1
+    canonical, tabled = set(), set()
+
+    def boundary(mate, free):
+        bnd = []
+        for c in range(D):
+            b = {}
+            for x in free:
+                y = partners[c][x]
+                while y not in free:
+                    y = partners[c][mate[y]]
+                b[x] = y
+            bnd.append(b)
+        return bnd
+
+    def code(bnd, root):
+        label = {root: 0}
+        order = [root]
+
+        def visit(x):
+            for b in bnd:
+                if b[x] not in label:
+                    label[b[x]] = len(order)
+                    order.append(b[x])
+                    visit(b[x])
+
+        visit(root)
+        return tuple(tuple(label[b[x]] for b in bnd) for x in order)
+
+    def rec(mate, free):
+        r = len(free) // 2
+        up = list(range(q))
+
+        def top(c):
+            while up[c] != c:
+                c = up[c]
+            return c
+
+        if q > 1:
+            for u, v in mate.items():
+                up[top(comp[u])] = top(comp[v])
+        live = len({top(c) for c in range(q)})
+        if r < 3 or r == 3 and live > 1:
+            return
+        bnd = boundary(mate, free)
+        if r == 3:
+            rank = {x: i for i, x in enumerate(sorted(free))}
+            pairs = [sorted({tuple(sorted((rank[x], rank[b[x]]))) for x in free}) for b in bnd]
+            tabled.add(tuple(sorted(map(tuple, pairs))))
+            return
+        if r > 4 or live > 1:
+            groups = {}
+            done = set()
+            for x in sorted(free):
+                if x in done:
+                    continue
+                members = {x}
+                stack = [x]
+                while stack:
+                    y = stack.pop()
+                    for b in bnd:
+                        if b[y] not in members:
+                            members.add(b[y])
+                            stack.append(b[y])
+                done |= members
+                least = min(code(bnd, y) for y in members)
+                groups.setdefault(top(comp[x]) if live > 1 else 0, []).append(least)
+            if len(groups) < live:
+                return  # a set that can no longer be joined
+            key = tuple(sorted(tuple(sorted(g)) for g in groups.values()))
+            if key in canonical:
+                return
+            canonical.add(key)
+        u = min(free)
+        for v in sorted(free - {u}):
+            rec({**mate, u: v, v: u}, free - {u, v})
+
+    rec({}, frozenset(range(two_n)))
+    return len(canonical), len(tabled)

@@ -233,3 +233,25 @@ def test_estimate_echoes_the_batch_used():
     assert est.to_json_dict()["batch_size"] == 13_975
     assert mc_moment([new_dipole(3)], 2, 2, 3, seed=0).batch_size == DEFAULT_BATCH
     assert mc_moment([new_dipole(3)], 2, 2, 3, seed=0, batch_size=2).batch_size == 2
+
+
+def test_batch_moments_merge_without_cancellation(monkeypatch):
+    # samples of 1e8 plus a spread of variance about 1.3: their raw squares
+    # sum to about 1e19, where a float's spacing is 2048, so the variance
+    # must come from deviations, merged batch by batch
+    spread = [i % 4 - 1.5 + (i % 7) / 8 for i in range(1000)]
+    drawn = 0
+
+    def spy(plan, draw):
+        nonlocal drawn
+        vals = np.array([1e8 + d for d in spread[drawn : drawn + len(draw)]])
+        drawn += len(draw)
+        return vals
+
+    monkeypatch.setattr(numeric, "_trace", spy)
+    est = mc_moment([new_dipole(3)], 2, 2, len(spread), seed=0, batch_size=64)
+    assert drawn == len(spread)
+    mean = sum(spread) / len(spread)
+    var = sum((d - mean) ** 2 for d in spread) / (len(spread) - 1)
+    assert est.mean == sum(1e8 + d for d in spread) / len(spread)
+    assert est.standard_error == pytest.approx(math.sqrt(var / len(spread)), rel=1e-9)

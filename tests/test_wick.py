@@ -30,6 +30,8 @@ from tensorwick.wick import (
     lemma_condition,
     max_scaling,
     subadditivity_check,
+    _SIX,
+    _SIX_OVERLAP,
     _scan,
 )
 
@@ -37,8 +39,10 @@ from helpers import (
     all_matchings,
     brute_histogram,
     catalan,
+    dsu_cycle_count,
     faces_of,
     joined_connected,
+    memo_state_count,
     random_connected_graph,
     spec_quartic_melon,
     two_color_cycle,
@@ -91,9 +95,13 @@ def test_histogram_totals():
         assert hc.total_pairings <= h.total_pairings
 
 
-@given(st.integers(1, 4), part_sizes, st.integers(0, 10**6), st.booleans())
-@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 8), st.one_of(part_sizes, st.just((5,))), st.integers(0, 10**6), st.booleans()
+)
+@settings(max_examples=120, deadline=None)
 def test_histogram_matches_brute_force(D, sizes, seed, connected_only):
+    # joined states with 3 pairs to go are scored from the six-point table,
+    # at the root or below a union's last join
     g = graph_of_parts(D, sizes, seed)
     assert (
         enumerate_histogram(g, connected_only=connected_only).counts
@@ -110,6 +118,13 @@ def test_memoized_histogram_matches_brute_force(D, sizes, seed, connected_only):
         enumerate_histogram(g, connected_only=connected_only).counts
         == brute_histogram(g, connected_only=connected_only)
     )
+
+
+def test_six_point_table_counts_cycles():
+    assert len(_SIX) == len(set(_SIX)) == 15
+    for P, row in zip(_SIX, _SIX_OVERLAP):
+        for Q, t in zip(_SIX, row):
+            assert t == dsu_cycle_count(P, Q, 6) - 1
 
 
 def relabeled(g, perm, colors):
@@ -134,28 +149,30 @@ def test_histogram_ignores_vertex_and_color_names(D, sizes, seed, connected_only
     assert h.counts == enumerate_histogram(g, connected_only=connected_only).counts
 
 
-# computed pairing by pairing, by an exhaustive walk without the memo
+# counts computed pairing by pairing, by an exhaustive walk without the
+# memo; states by helpers.memo_state_count, split (canonical, table) as
+# (420, 672), (1997, 2965) and (25, 296)
 HISTOGRAM_PINS = [
     (
         lambda: random_colored_graph(3, 8, 1),
         False,
         {3: 62240, 4: 248692, 5: 457440, 6: 514065, 7: 394759, 8: 219651, 9: 91769,
          10: 29377, 11: 7281, 12: 1461, 13: 255, 14: 33, 15: 2},
-        505,
+        1092,
     ),
     (
         lambda: random_colored_graph(4, 8, 1),
         False,
         {4: 18988, 5: 102698, 6: 257944, 7: 407682, 8: 449349, 9: 371060, 10: 235549,
          11: 117748, 12: 46656, 13: 14751, 14: 3751, 15: 719, 16: 115, 17: 14, 18: 1},
-        5394,
+        4962,
     ),
     (
         lambda: disjoint_union(random_connected_graph(3, 3, 1), random_connected_graph(3, 4, 2)),
         True,
         {3: 5728, 4: 21344, 5: 32064, 6: 33692, 7: 22720, 8: 11232, 9: 4800, 10: 1524,
          11: 384, 12: 72},
-        58,
+        321,
     ),
 ]
 
@@ -168,6 +185,17 @@ def test_histogram_pins_and_state_counts(make, connected_only, counts, states):
     assert h.states == states
     assert "states" not in h.to_json_dict()
     assert h == FaceHistogram(counts, connected_only, h.n, h.D)
+
+
+@pytest.mark.parametrize(
+    "D, sizes, seed, connected_only",
+    [(1, (6,), 0, False), (2, (6,), 1, False), (3, (7,), 2, False), (5, (6,), 3, False),
+     (3, (2, 4), 4, True), (4, (1, 2, 3), 5, True), (3, (3, 3), 6, False), (8, (5,), 7, True)],
+)
+def test_state_count_matches_an_independent_walk(D, sizes, seed, connected_only):
+    g = graph_of_parts(D, sizes, seed)
+    h = enumerate_histogram(g, connected_only=connected_only)
+    assert h.states == sum(memo_state_count(g, connected_only))
 
 
 def test_expectation_poly_examples():
