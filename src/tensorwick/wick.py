@@ -10,12 +10,11 @@ rational arithmetic; N never becomes a float.
 Two walks place pairs in canonical order (smallest free vertex first,
 partners ascending) on one kind of state: per-color alternating-path
 endpoints as flat partner arrays, so each extension costs O(D) (the splice
-of `graphs.splice`, which `_scan`'s inner loop writes inline), a linked
-list of free vertices and a union-find over the graph's components.  The last two
-levels need no splice: the last pair's vertices are the ends of every
-color's remaining path, so it closes exactly D faces, and each of the three
-ways to pair the least of four free vertices is scored from the boundary
-arrays alone.
+of `graphs.splice`), a linked list of free vertices and a union-find over
+the graph's components.  The last two levels need no splice: the last
+pair's vertices are the ends of every color's remaining path, so it closes
+exactly D faces, and `_last_two` scores each of the three ways to pair the
+least of four free vertices from the boundary arrays alone.
 
 `_histogram` sums the exact histograms.  The faces the rest of a pairing
 closes depend only on the boundary graph that the path ends make on the
@@ -73,6 +72,26 @@ class _Hit(Exception):
 
 # ---------------------------------------------------------------------------
 # enumeration engine
+
+
+def _last_two(
+    bnd: list[list[int]], u: int, a: int, b: int, c: int
+) -> tuple[tuple[int, int], ...]:
+    """(v, faces) for each way (u, v) to complete free vertices u < a < b < c.
+
+    Pairing (u, v) closes the colors whose path from u ends at v; the last
+    pair is then joined by every color's path and closes D more.  faces
+    counts both pairs.
+    """
+    D = len(bnd)
+    ka = kb = 0
+    for bc in bnd:
+        x = bc[u]
+        if x == a:
+            ka += 1
+        elif x == b:
+            kb += 1
+    return (a, D + ka), (b, D + kb), (c, 2 * D - ka - kb)
 
 
 def _scan(
@@ -143,11 +162,11 @@ def _scan(
     exact); on G u G, the connected bound at the root alone rules out any
     target above 2 * (D - 1) * n - D + 2.
 
-    The last two levels are scored in closed form, without splicing or
-    recursing.  Each completion still counts as two nodes, its pair (u, v)
-    and its last pair, with the budget and prune checks a walk down to
-    every leaf would make, so truncated reports do not depend on how the
-    bottom is scored.
+    The last two levels are scored in closed form by `_last_two`, without
+    splicing or recursing.  Each completion still counts as two nodes, its
+    pair (u, v) and its last pair, with the budget and prune checks a walk
+    down to every leaf would make, so truncated reports do not depend on
+    how the bottom is scored.
     """
     D = G.D
     two_n = 2 * G.n
@@ -166,7 +185,6 @@ def _scan(
     nxt = list(range(1, two_n + 1)) + [0]
     prv = [S] + list(range(two_n - 1)) + [two_n - 1]
     par = list(range(q))
-    sz = [1] * q
     mate = [0] * two_n  # mate[u] for the least free vertex u of each level
     counts: dict[int, int] = {}
     witness = None
@@ -310,26 +328,16 @@ def _scan(
         if room > D and remaining > 2 and ring_cycles(room) < room:
             return
         if remaining == 2:
-            # Free vertices u < a < b < c.  Pairing (u, v) closes the colors
-            # with bc[u] == v; the last pair is then joined by every color's
-            # boundary path and closes D more.  Each completion stands for
-            # the child node and its leaf, counted and pruned in their order;
-            # past the budget every later node returns at once, so stop.
+            # Each completion stands for the child node and its leaf, counted
+            # and pruned in their order; past the budget every later node
+            # returns at once, so stop.
             a = nxt[u]
             b = nxt[a]
             c = nxt[b]
-            ka = kb = 0
-            for bc in bnd:
-                x = bc[u]
-                if x == a:
-                    ka += 1
-                elif x == b:
-                    kb += 1
-            f = closed + D
-            scores = ((a, f + ka), (b, f + kb), (c, f + D - ka - kb))
             if live == 2:
                 ru = find(comp_ids[u])
-            for v, f in scores:
+            for v, f in _last_two(bnd, u, a, b, c):
+                f += closed
                 nodes += 1
                 if nodes > node_budget:
                     exact = False
@@ -367,41 +375,21 @@ def _scan(
             pv_, nv_ = prv[v], nxt[v]
             nxt[pv_] = nv_
             prv[nv_] = pv_
-            # splice(bnd, u, v) and unsplice, inline: a helper call per
-            # node made the D = 3, n = 8 histogram slower in six of six
-            # interleaved runs, by 2-8%
-            dclosed = 0
-            for bc in bnd:
-                a = bc[u]
-                if a == v:
-                    dclosed += 1
-                else:
-                    b = bc[v]
-                    bc[a] = b
-                    bc[b] = a
+            dclosed = splice(bnd, u, v)
             merged = -1
             lv = live
             if lv > 1:
                 ru = find(comp_ids[u])
                 rv = find(comp_ids[v])
                 if ru != rv:
-                    if sz[ru] < sz[rv]:
-                        ru, rv = rv, ru
                     par[rv] = ru
-                    sz[ru] += sz[rv]
                     merged = rv
                     lv -= 1
             mate[u] = v
             rec(remaining - 1, closed + dclosed, lv)
             if merged >= 0:
-                sz[par[merged]] -= sz[merged]
                 par[merged] = merged
-            # bc[u] and bc[v] are untouched below this level: undo from them
-            for bc in bnd:
-                a = bc[u]
-                if a != v:
-                    bc[a] = u
-                    bc[bc[v]] = v
+            unsplice(bnd, u, v)
             nxt[pv_] = v
             prv[nv_] = v
             v = nv_
@@ -449,8 +437,8 @@ def _histogram(G: ColoredGraph, connected_only: bool) -> tuple[dict[int, int], i
 
     Returns (counts, states): counts maps each face count to the number of
     pairings attaining it (with connected_only, of pairings joining all q
-    components); states is the number of entries of the two memos below,
-    the canonical one and the six-point table's.
+    components); states is the number of entries of its memo, over both
+    key kinds below.
 
     The walk places pairs as `_scan` does, least free vertex first, on the
     same state: path-end partner arrays bnd, a linked free list and, with
@@ -489,13 +477,13 @@ def _histogram(G: ColoredGraph, connected_only: bool) -> tuple[dict[int, int], i
     key is the sum over c of B_c's row, packed w bits a field, so field P
     holds F(P) - D, and the residual histogram is read off its 15 fields.
     The table is invertible, so the key stands for the multiset of the B_c
-    and nothing coarser.  Its memo is a dict of its own, so its int keys
-    never meet the canonical bytes.  With 4 pairs to go and every set
+    and nothing coarser.  These int keys share the memo with the canonical
+    bytes keys, which they can never equal.  With 4 pairs to go and every set
     joined the state is not memoized: there a key, canonical or the sorted
     rank codes of the B_c, cost more than its hits saved.
 
     The last two levels, where the walk still reaches them (at n = 2, or
-    with sets still apart at 3 pairs to go), are scored in closed form, as
+    with sets still apart at 3 pairs to go), are scored by `_last_two`, as
     in `_scan`.
     """
     D = G.D
@@ -516,8 +504,9 @@ def _histogram(G: ColoredGraph, connected_only: bool) -> tuple[dict[int, int], i
     stamp = 0
     sig = [0] * two_n  # ring signature of each free vertex
     label = [-1] * two_n  # BFS labels of the code being written
-    memo: dict[bytes, int] = {}  # canonical codes
-    memo3: dict[int, int] = {}  # packed table rows, 3 pairs to go, live == 1
+    # residual histograms, on canonical codes (bytes) and, with 3 pairs to go
+    # and live == 1, on packed table rows (ints, which never equal bytes)
+    memo: dict[bytes | int, int] = {}
     rank = [0] * two_n  # rank of each free vertex in list order
     w = (2 * D).bit_length()  # bits of one field; a field is at most 2 * D
     w_mask = (1 << w) - 1
@@ -611,25 +600,15 @@ def _histogram(G: ColoredGraph, connected_only: bool) -> tuple[dict[int, int], i
     def rec(remaining: int, live: int) -> int:
         u = nxt[S]
         if remaining == 2:
-            # free vertices u < a < b < c, as in _scan's closed form
             if live > 2:
                 return 0
             a = nxt[u]
             b = nxt[a]
-            c = nxt[b]
-            ka = kb = 0
-            for bc in bnd:
-                x = bc[u]
-                if x == a:
-                    ka += 1
-                elif x == b:
-                    kb += 1
-            if live == 1:
-                return x_to[D + ka] + x_to[D + kb] + x_to[2 * D - ka - kb]
             ru = find(comp_ids[u])
             h = 0
-            for v, f in ((a, D + ka), (b, D + kb), (c, 2 * D - ka - kb)):
-                if find(comp_ids[v]) != ru:
+            for v, f in _last_two(bnd, u, a, b, nxt[b]):
+                # with live == 2 only (u, v) can join the two sets
+                if live == 1 or find(comp_ids[v]) != ru:
                     h += x_to[f]
             return h
         if live == 1 and remaining == 3:
@@ -647,12 +626,12 @@ def _histogram(G: ColoredGraph, connected_only: bool) -> tuple[dict[int, int], i
             key = 0
             for bc in bnd:
                 key += six_row[36 * rank[bc[u]] + 6 * rank[bc[a]] + rank[bc[b]]]
-            h = memo3.get(key)
+            h = memo.get(key)
             if h is None:
                 h = 0
                 for i in range(0, 15 * w, w):
                     h += x_to[D + (key >> i & w_mask)]
-                memo3[key] = h
+                memo[key] = h
             return h
         key = None
         if 4 < remaining <= 127 or remaining == 4 and live > 1:
@@ -695,8 +674,8 @@ def _histogram(G: ColoredGraph, connected_only: bool) -> tuple[dict[int, int], i
         return h
 
     h = rec(n, q if connected_only else 1)
-    states = len(memo) + len(memo3)
-    del rec  # rec refers to itself: free the memos now, not at the next gc
+    states = len(memo)
+    del rec  # rec refers to itself: free the memo now, not at the next gc
     mask = (1 << k) - 1
     counts = {}
     f = 0
@@ -725,9 +704,9 @@ class FaceHistogram:
     connected_only: bool
     n: int
     D: int
-    # boundary states the memoized recursion stored, the entries of its
-    # canonical memo and of its six-point table memo; a work count, kept
-    # out of equality and of the JSON report
+    # boundary states the memoized recursion stored, the entries of its memo
+    # (canonical codes and six-point table keys); a work count, kept out of
+    # equality and of the JSON report
     states: int = field(default=0, compare=False)
 
     @property
@@ -756,8 +735,7 @@ def enumerate_histogram(
 
     Graphs with n above budget are refused.  The sum is `_histogram`'s
     memoized recursion; states counts the boundary states it stored, the
-    memo entries of both key kinds (canonical codes and six-point table
-    keys).
+    entries of its one memo (canonical codes and six-point table keys).
     """
     if G.n > budget:
         raise BudgetExceeded(
@@ -945,9 +923,12 @@ def max_scaling(
 ) -> ScalingReport:
     """Exact maximum of the face count over perfect pairings of G's vertices.
 
-    Works past the histogram budget thanks to pruning: 0.02-0.45 s on
-    random graphs at D = 3, n = 16 and D = 4, n = 12 (one core of a 2-core
-    x86 host).  A search cut by node_budget (at least 1) reports exact=False
+    Works past the histogram budget thanks to pruning.  The least exact
+    node_budget of random_colored_graph(3, 16, s) for s = 0, 1, 2, 3 is
+    155,182, 3,920, 30,986 and 4,771 nodes, and of random_colored_graph(4,
+    12, s) 46,573, 20,009, 59,748 and 63,301; those searches take 0.02-1.1
+    s (CPU time, one core of a shared 2-core x86 host, Python 3.11).  A
+    search cut by node_budget (at least 1) reports exact=False
     with the best pairings it reached, or else the greedy incumbent it
     started from with num_optimal 1; either way F_max is a lower bound and
     the witness attains it.  The search is sequential; threads is accepted

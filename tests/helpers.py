@@ -240,7 +240,7 @@ def two_color_cycle(n: int) -> ColoredGraph:
 
 
 def memo_state_count(G: ColoredGraph, connected_only: bool = False) -> tuple[int, int]:
-    """The entries of `wick._histogram`'s memos, split (canonical, table).
+    """Entries of `wick._histogram`'s memo by key kind, as (canonical, table).
 
     Walks the pairing prefixes in the histogram's order (least free vertex
     first, partners ascending) and skips the subtree of every state whose

@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from fractions import Fraction
 from functools import reduce
 
@@ -32,6 +33,7 @@ from tensorwick.wick import (
     subadditivity_check,
     _SIX,
     _SIX_OVERLAP,
+    _histogram,
     _scan,
 )
 
@@ -196,6 +198,40 @@ def test_state_count_matches_an_independent_walk(D, sizes, seed, connected_only)
     g = graph_of_parts(D, sizes, seed)
     h = enumerate_histogram(g, connected_only=connected_only)
     assert h.states == sum(memo_state_count(g, connected_only))
+
+
+@pytest.mark.parametrize(
+    "g, connected_only",
+    [(random_colored_graph(3, 6, 1), False),
+     (disjoint_union(random_connected_graph(3, 3, 1), random_connected_graph(3, 4, 2)), True)],
+)
+def test_memo_stores_each_state_under_its_own_key(g, connected_only):
+    # a histogram stored under a key no state has, such as key + 1 at the
+    # table level (a key's 15 fields sum to 8 * D), keeps every count and
+    # states and only loses the memo's hits; so watch the walk: each time a
+    # keyed level returns, the memo must hold its histogram at its key
+    (rec_code,) = [c for c in _histogram.__code__.co_consts if getattr(c, "co_name", "") == "rec"]
+    kinds = set()
+
+    def on_return(frame, event, arg):
+        key = frame.f_locals.get("key")
+        if event == "return" and key is not None:
+            assert frame.f_locals["memo"].get(key) == arg
+            kinds.add(type(key))
+        return on_return
+
+    def on_call(frame, event, arg):
+        if frame.f_code is rec_code:
+            frame.f_trace_lines = False
+            return on_return
+
+    old = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        enumerate_histogram(g, connected_only=connected_only)
+    finally:
+        sys.settrace(old)
+    assert kinds == {bytes, int}
 
 
 def test_expectation_poly_examples():
@@ -484,7 +520,12 @@ def test_node_counts_of_the_bounded_search():
     # these, so a pruning regression fails here while timing noise does not
     # (the bound closed + D * remaining needed 1,408,169 nodes for the first,
     # the ring bound without an incumbent 2,162)
-    for D, n, seed, least in ((3, 10, 2, 240), (8, 7, 1, 16732), (12, 7, 1, 13713)):
+    for D, n, seed, least in (
+        (3, 10, 2, 240),
+        (4, 10, 1, 25655),
+        (8, 7, 1, 16732),
+        (12, 7, 1, 13713),
+    ):
         g = random_colored_graph(D, n, seed)
         assert max_scaling(g, node_budget=least).exact
         assert not max_scaling(g, node_budget=least - 1).exact
