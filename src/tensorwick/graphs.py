@@ -3,8 +3,10 @@
 A graph with D colors is stored as an ordered tuple of perfect matchings,
 one per color c = 1..D, over the dense vertex labels 0..2n-1.  Matchings of
 different colors may contain the same pair, so multi-edges are first class.
-Equality compares the ordered color list; no isomorphism quotient is
-attempted anywhere in this package.
+Equality compares the ordered color lists, so relabelled or recolored
+copies of a graph are different graphs.  The one isomorphism quotient in
+the package is internal to `wick._histogram`, which memoizes its sum on
+the isomorphism classes of boundary graphs.
 """
 
 from __future__ import annotations

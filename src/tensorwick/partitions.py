@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from functools import reduce
 from operator import add, mul
-from typing import Iterator, Mapping, TypeVar
+from typing import Callable, Iterator, Mapping, TypeVar
 
 MAX_Q = 12  # Bell(12) = 4,213,597 keeps exact transforms tractable
 
@@ -74,10 +74,13 @@ def set_partitions(q: int) -> Iterator[SetPartition]:
         yield SetPartition(blocks, q)
 
 
+def _mobius_weight(k: int) -> int:
+    return (-1) ** (k - 1) * math.factorial(k - 1)
+
+
 def mobius_coefficient(pi: SetPartition) -> int:
     """(-1)^(|pi|-1) (|pi|-1)!, the partition-lattice Mobius weight of pi."""
-    k = pi.size
-    return (-1) ** (k - 1) * math.factorial(k - 1)
+    return _mobius_weight(pi.size)
 
 
 def _mask(block: tuple[int, ...]) -> int:
@@ -94,8 +97,10 @@ def _elements(mask: int) -> tuple[int, ...]:
 def _validated_q(value_map: Mapping[int, V]) -> int:
     if not value_map:
         raise ValueError("empty map")
-    full = max(value_map)
-    q = full.bit_length()
+    for key in value_map:
+        if not isinstance(key, int) or key < 1:
+            raise ValueError(f"key {key!r} is not the bitmask of a nonempty subset")
+    q = max(value_map).bit_length()
     if q > MAX_Q:
         raise ValueError(f"q={q} exceeds the Bell-number budget {MAX_Q}")
     for mask in range(1, (1 << q)):
@@ -104,31 +109,34 @@ def _validated_q(value_map: Mapping[int, V]) -> int:
     return q
 
 
-def moments_from_cumulants(cumulant_map: Mapping[int, V]) -> dict[int, V]:
-    """moment(S) = sum over partitions pi of S of the product of cumulant(B).
-
-    Input and output assign a value to every nonempty subset of {1..q},
-    keyed by bitmask.
-    """
-    q = _validated_q(cumulant_map)
-    out: dict[int, V] = {}
-    for mask in range(1, 1 << q):
-        terms = [
-            reduce(mul, (cumulant_map[_mask(b)] for b in pi))
-            for pi in _partitions_of(_elements(mask))
-        ]
-        out[mask] = reduce(add, terms)
-    return out
-
-
-def cumulants_from_moments(moment_map: Mapping[int, V]) -> dict[int, V]:
-    """Mobius inversion of moments_from_cumulants; the two are mutually inverse."""
-    q = _validated_q(moment_map)
+def _partition_sum(
+    value_map: Mapping[int, V], weight: Callable[[int], int]
+) -> dict[int, V]:
+    """For every nonempty subset S, the sum over the partitions pi of S of
+    weight(|pi|) times the product of value_map over the blocks of pi."""
+    q = _validated_q(value_map)
     out: dict[int, V] = {}
     for mask in range(1, 1 << q):
         terms = []
         for pi in _partitions_of(_elements(mask)):
-            lam = (-1) ** (len(pi) - 1) * math.factorial(len(pi) - 1)
-            terms.append(lam * reduce(mul, (moment_map[_mask(b)] for b in pi)))
+            term = reduce(mul, (value_map[_mask(b)] for b in pi))
+            w = weight(len(pi))
+            # a weight of 1 is not multiplied in, so moments_from_cumulants
+            # needs no product of an int and a value
+            terms.append(term if w == 1 else w * term)
         out[mask] = reduce(add, terms)
     return out
+
+
+def moments_from_cumulants(cumulant_map: Mapping[int, V]) -> dict[int, V]:
+    """moment(S) = sum over partitions pi of S of the product of cumulant(B).
+
+    Input and output assign a value to every nonempty subset of {1..q},
+    keyed by bitmask; any other key is refused with ValueError.
+    """
+    return _partition_sum(cumulant_map, lambda k: 1)
+
+
+def cumulants_from_moments(moment_map: Mapping[int, V]) -> dict[int, V]:
+    """Mobius inversion of moments_from_cumulants; the two are mutually inverse."""
+    return _partition_sum(moment_map, _mobius_weight)

@@ -7,11 +7,10 @@ connected part (classical cumulant) restricts the sum to pairings that join
 all graph components into one piece.  Everything here is exact integer or
 rational arithmetic; N never becomes a float.
 
-Two walks place pairs in canonical order (smallest free vertex first,
-partners ascending) on one kind of state: per-color alternating-path
-endpoints as flat partner arrays, so each extension costs O(D) (the splice
-of `graphs.splice`), a linked list of free vertices and a union-find over
-the graph's components.  The last two levels need no splice: the last
+Two walks place pairs in canonical order, smallest free vertex first and
+partners ascending, on one state built by `_walk` and through one child
+loop, `_children`, where both are described.  Each pair costs O(D), the
+splice of `graphs.splice`.  The last two levels need no splice: the last
 pair's vertices are the ends of every color's remaining path, so it closes
 exactly D faces, and `_last_two` scores each of the three ways to pair the
 least of four free vertices from the boundary arrays alone.
@@ -41,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .faces import scaling_defect
 from .graphs import (
@@ -72,6 +71,79 @@ class _Hit(Exception):
 
 # ---------------------------------------------------------------------------
 # enumeration engine
+
+
+def _walk(G: ColoredGraph):
+    """The root state of a walk over G's pairings: (bnd, nxt, prv, par, comp_ids, q).
+
+    Both walks place pairs in canonical order, the least free vertex u
+    first, then each partner v in list order, and keep one state:
+    - bnd, each color's alternating-path ends as partner arrays, which
+      `graphs.splice` and `unsplice` update as pairs are placed;
+    - the free vertices as a doubly linked list nxt/prv over 0..2n-1, with
+      the sentinel S = 2n, so the least free vertex is nxt[S];
+    - par, a union-find over the q components (comp_ids maps each vertex to
+      its component), whose sets are linked as pairs join them and unlinked
+      as pairs are taken back.
+    """
+    two_n = 2 * G.n
+    comp_ids, q = G.component_ids()
+    bnd = [list(p) for p in G.partner_arrays()]
+    nxt = list(range(1, two_n + 1)) + [0]
+    prv = [two_n] + list(range(two_n - 1)) + [two_n - 1]
+    return bnd, nxt, prv, list(range(q)), comp_ids, q
+
+
+def _find(par: list[int], c: int) -> int:
+    """The root of c's set in the union-find par."""
+    while par[c] != c:
+        c = par[c]
+    return c
+
+
+def _children(
+    bnd, nxt, prv, par, comp_ids, u: int, live: int
+) -> Iterator[tuple[int, int, int]]:
+    """Place (u, v) for each later free v in list order, one at a time.
+
+    u is the least free vertex, nxt[S] (see `_walk`).  It is unlinked for
+    the whole loop; each v is unlinked and spliced, and with live > 1
+    union-find sets still apart, its set is linked to u's.  While (u, v) is
+    in effect the generator yields (v, faces closed, live after); it takes
+    the pair back, in reverse order, before it places the next one, and
+    once exhausted the state is back where it started.  A caller therefore
+    either exhausts it or abandons the whole state, as a `_Hit` does:
+    breaking out of the loop would leave a pair in effect.
+    """
+    S = len(nxt) - 1
+    u_next = nxt[u]
+    nxt[S] = u_next
+    prv[u_next] = S
+    if live > 1:
+        ru = _find(par, comp_ids[u])
+    v = u_next
+    while v != S:
+        pv_, nv_ = prv[v], nxt[v]
+        nxt[pv_] = nv_
+        prv[nv_] = pv_
+        dclosed = splice(bnd, u, v)
+        merged = -1
+        lv = live
+        if lv > 1:
+            rv = _find(par, comp_ids[v])
+            if ru != rv:
+                par[rv] = ru
+                merged = rv
+                lv -= 1
+        yield v, dclosed, lv
+        if merged >= 0:
+            par[merged] = merged
+        unsplice(bnd, u, v)
+        nxt[pv_] = v
+        prv[nv_] = v
+        v = nv_
+    nxt[S] = u
+    prv[u_next] = u
 
 
 def _last_two(
@@ -107,9 +179,7 @@ def _scan(
     pairings joining all q components count); witness is the first visited
     pairing of the largest face count, i.e. the lexicographically least one.
 
-    The walk keeps one state: each color's alternating-path ends as partner
-    arrays bnd, spliced and unspliced as pairs are placed; the free vertices
-    as a doubly linked list; and a union-find over the components.
+    The walk runs on `_walk`'s state and places pairs through `_children`.
 
     Every level of the walk counts as a node against node_budget, and a
     subtree is pruned when even its best completion falls short of best.
@@ -147,6 +217,9 @@ def _scan(
     connected_only, while components are still apart, v is taken from
     another union-find set; every set then keeps at least two free
     vertices, so the descent always ends in a pairing joining them all.
+    It places its pairs itself, not through `_children`, as it keeps one
+    pair per level in effect on the way down, where a child loop would
+    splice every sibling.
     Leaves below best are not counted.  No tie is pruned, so the walk
     reaches the incumbent's leaf and every maximizing one: the top bin of
     counts is the number of maximizing pairings, and the first leaf at best
@@ -170,7 +243,6 @@ def _scan(
     """
     D = G.D
     two_n = 2 * G.n
-    comp_ids, q = G.component_ids()
     decide = target is not None
     if two_n == 2:
         # one pairing closing D faces; the walk is a root and a leaf node
@@ -180,11 +252,8 @@ def _scan(
             if D < target:
                 return {}, None, True
         return {D: 1}, [(0, 1)], node_budget >= 2
-    bnd = [list(p) for p in G.partner_arrays()]
-    S = two_n  # sentinel of the doubly linked free list
-    nxt = list(range(1, two_n + 1)) + [0]
-    prv = [S] + list(range(two_n - 1)) + [two_n - 1]
-    par = list(range(q))
+    bnd, nxt, prv, par, comp_ids, q = _walk(G)
+    S = two_n  # sentinel of the free list
     mate = [0] * two_n  # mate[u] for the least free vertex u of each level
     counts: dict[int, int] = {}
     witness = None
@@ -193,11 +262,6 @@ def _scan(
     ring = [(bnd[c], bnd[c - 1]) for c in range(D)]
     seen = [0] * two_n  # seen[x] == stamp marks x as on a counted cycle
     stamp = 0
-
-    def find(c: int) -> int:
-        while par[c] != c:
-            c = par[c]
-        return c
 
     def ring_cycles(cap: int) -> int:
         """F_ring of the free vertices, or cap once it is sure to reach it.
@@ -279,11 +343,11 @@ def _scan(
             unlink(u)
             closes = [bc[u] for bc in bnd]
             if live > 1:
-                ru = find(comp_ids[u])
+                ru = _find(par, comp_ids[u])
                 options = []
                 x = nxt[S]
                 while x != S:
-                    if find(comp_ids[x]) != ru:
+                    if _find(par, comp_ids[x]) != ru:
                         options.append(x)
                     x = nxt[x]
             else:
@@ -295,7 +359,7 @@ def _scan(
             unlink(v)
             faces += splice(bnd, u, v)
             if live > 1:
-                par[find(comp_ids[v])] = ru
+                par[_find(par, comp_ids[v])] = ru
                 live -= 1
             pairs.append((u, v))
         # hand the walk its root state: undo the last pair first
@@ -335,7 +399,7 @@ def _scan(
             b = nxt[a]
             c = nxt[b]
             if live == 2:
-                ru = find(comp_ids[u])
+                ru = _find(par, comp_ids[u])
             for v, f in _last_two(bnd, u, a, b, c):
                 f += closed
                 nodes += 1
@@ -350,7 +414,7 @@ def _scan(
                     return
                 # every union-find set holds an even number of free vertices,
                 # so the last pair shares one and only (u, v) can merge two
-                if live > 1 and (live > 2 or find(comp_ids[v]) == ru):
+                if live > 1 and (live > 2 or _find(par, comp_ids[v]) == ru):
                     continue
                 counts[f] = counts.get(f, 0) + 1
                 if f > best or witness is None:
@@ -367,34 +431,9 @@ def _scan(
                     if decide:
                         raise _Hit
             return
-        u_next = nxt[u]
-        nxt[S] = u_next
-        prv[u_next] = S
-        v = u_next
-        while v != S:
-            pv_, nv_ = prv[v], nxt[v]
-            nxt[pv_] = nv_
-            prv[nv_] = pv_
-            dclosed = splice(bnd, u, v)
-            merged = -1
-            lv = live
-            if lv > 1:
-                ru = find(comp_ids[u])
-                rv = find(comp_ids[v])
-                if ru != rv:
-                    par[rv] = ru
-                    merged = rv
-                    lv -= 1
+        for v, dclosed, lv in _children(bnd, nxt, prv, par, comp_ids, u, live):
             mate[u] = v
             rec(remaining - 1, closed + dclosed, lv)
-            if merged >= 0:
-                par[merged] = merged
-            unsplice(bnd, u, v)
-            nxt[pv_] = v
-            prv[nv_] = v
-            v = nv_
-        nxt[S] = u
-        prv[u_next] = u
 
     try:
         rec(two_n // 2, 0, q if connected_only else 1)
@@ -440,17 +479,16 @@ def _histogram(G: ColoredGraph, connected_only: bool) -> tuple[dict[int, int], i
     components); states is the number of entries of its memo, over both
     key kinds below.
 
-    The walk places pairs as `_scan` does, least free vertex first, on the
-    same state: path-end partner arrays bnd, a linked free list and, with
-    connected_only, a union-find over the components.  With r pairs to go,
-    the faces the rest of a pairing closes depend only on the boundary
-    graph B: the free vertices, joined by every color's path ends.  So each
-    level returns its residual histogram, the faces closed below it, and
-    adds its children's, each shifted by the faces its pair closes.  A
-    histogram is kept as its generating polynomial evaluated at x = 2**k,
-    one big int: counts never reach |M_n| < 2**k, so the count of f faces
-    is bits k*f to k*f + k - 1, a shift multiplies by x**d and the sum of
-    two histograms is the sum of their ints.
+    The walk places pairs as `_scan` does, on `_walk`'s state and through
+    `_children`; the union-find only counts with connected_only.  With r
+    pairs to go, the faces the rest of a pairing closes depend only on the
+    boundary graph B: the free vertices, joined by every color's path ends.
+    So each level returns its residual histogram, the faces closed below
+    it, and adds its children's, each shifted by the faces its pair
+    closes.  A histogram is kept as its generating polynomial evaluated at
+    x = 2**k, one big int: counts never reach |M_n| < 2**k, so the count of
+    f faces is bits k*f to k*f + k - 1, a shift multiplies by x**d and the
+    sum of two histograms is the sum of their ints.
 
     States with 5 to 127 pairs to go, and with 4 while union-find sets are
     still apart, are memoized for the call, keyed on the isomorphism class
@@ -491,12 +529,8 @@ def _histogram(G: ColoredGraph, connected_only: bool) -> tuple[dict[int, int], i
     if n == 1:
         return {D: 1}, 0
     two_n = 2 * n
-    comp_ids, q = G.component_ids()
-    bnd = [list(p) for p in G.partner_arrays()]
-    S = two_n  # sentinel of the doubly linked free list
-    nxt = list(range(1, two_n + 1)) + [0]
-    prv = [S] + list(range(two_n - 1)) + [two_n - 1]
-    par = list(range(q))
+    bnd, nxt, prv, par, comp_ids, q = _walk(G)
+    S = two_n  # sentinel of the free list
     k = count_matchings(n).bit_length()
     x_to = [1 << k * f for f in range(3 * D + 1)]  # x**f for the last three levels
     ring = [(bnd[c], bnd[c - 1]) for c in range(D)]
@@ -514,11 +548,6 @@ def _histogram(G: ColoredGraph, connected_only: bool) -> tuple[dict[int, int], i
         0 if i < 0 else sum(t << w * j for j, t in enumerate(_SIX_OVERLAP[i]))
         for i in _SIX_INDEX
     ]
-
-    def find(c: int) -> int:
-        while par[c] != c:
-            c = par[c]
-        return c
 
     def least_code(roots: list[int]) -> bytes:
         """The least code over the roots; a walk stops once it is larger."""
@@ -592,7 +621,7 @@ def _histogram(G: ColoredGraph, connected_only: bool) -> tuple[dict[int, int], i
                         members.append(z)
             least = min([sig[y] for y in members])
             code = least_code([y for y in members if sig[y] == least])
-            groups.setdefault(find(comp_ids[x]) if live > 1 else 0, []).append(code)
+            groups.setdefault(_find(par, comp_ids[x]) if live > 1 else 0, []).append(code)
         if len(groups) < live:
             return None
         return b"\xff".join(sorted(b"".join(sorted(g)) for g in groups.values()))
@@ -604,11 +633,11 @@ def _histogram(G: ColoredGraph, connected_only: bool) -> tuple[dict[int, int], i
                 return 0
             a = nxt[u]
             b = nxt[a]
-            ru = find(comp_ids[u])
+            ru = _find(par, comp_ids[u])
             h = 0
             for v, f in _last_two(bnd, u, a, b, nxt[b]):
                 # with live == 2 only (u, v) can join the two sets
-                if live == 1 or find(comp_ids[v]) != ru:
+                if live == 1 or _find(par, comp_ids[v]) != ru:
                     h += x_to[f]
             return h
         if live == 1 and remaining == 3:
@@ -642,33 +671,8 @@ def _histogram(G: ColoredGraph, connected_only: bool) -> tuple[dict[int, int], i
             if h is not None:
                 return h
         h = 0
-        u_next = nxt[u]
-        nxt[S] = u_next
-        prv[u_next] = S
-        v = u_next
-        while v != S:
-            pv_, nv_ = prv[v], nxt[v]
-            nxt[pv_] = nv_
-            prv[nv_] = pv_
-            dclosed = splice(bnd, u, v)
-            merged = -1
-            lv = live
-            if lv > 1:
-                ru = find(comp_ids[u])
-                rv = find(comp_ids[v])
-                if ru != rv:
-                    par[rv] = ru
-                    merged = rv
-                    lv -= 1
+        for v, dclosed, lv in _children(bnd, nxt, prv, par, comp_ids, u, live):
             h += rec(remaining - 1, lv) << k * dclosed
-            if merged >= 0:
-                par[merged] = merged
-            unsplice(bnd, u, v)
-            nxt[pv_] = v
-            prv[nv_] = v
-            v = nv_
-        nxt[S] = u
-        prv[u_next] = u
         if key is not None:
             memo[key] = h
         return h

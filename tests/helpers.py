@@ -84,10 +84,14 @@ def closed_faces(G: ColoredGraph, partial_pairs) -> int:
     return total
 
 
+def pieces(G: ColoredGraph, pairs) -> int:
+    """Components of G once the pairs are added to its edges, via union-find."""
+    all_pairs = [p for m in G.matchings for p in m.pairs] + list(pairs)
+    return dsu_cycle_count(all_pairs, [], 2 * G.n)
+
+
 def joined_connected(G: ColoredGraph, m0_pairs) -> bool:
-    two_n = 2 * G.n
-    all_pairs = [p for m in G.matchings for p in m.pairs] + list(m0_pairs)
-    return dsu_cycle_count(all_pairs, [], two_n) == 1
+    return pieces(G, m0_pairs) == 1
 
 
 def brute_histogram(G: ColoredGraph, connected_only: bool = False) -> dict[int, int]:

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -68,6 +69,17 @@ def test_missing_entry_rejected():
         moments_from_cumulants({0b01: 1, 0b11: 1})
     with pytest.raises(ValueError):
         cumulants_from_moments({})
+
+
+@pytest.mark.parametrize("transform", [moments_from_cumulants, cumulants_from_moments])
+@pytest.mark.parametrize("bad", [0, -1, -3, 1.5, 4.0, "1", None])
+def test_keys_naming_no_nonempty_subset_are_rejected(transform, bad):
+    # a key that is not the bitmask of a nonempty subset is refused by
+    # name, not dropped
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        transform({bad: 1, 1: 2})
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        transform({1: 2, 2: 3, 3: 5, bad: 1})
 
 
 def test_mobius_orthogonality_on_all_ones():

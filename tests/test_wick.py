@@ -18,6 +18,7 @@ from tensorwick.graphs import (
     new_dipole,
     random_colored_graph,
     random_melonic_graph,
+    splice,
 )
 from tensorwick.wick import (
     DEFAULT_NODE_BUDGET,
@@ -33,18 +34,22 @@ from tensorwick.wick import (
     subadditivity_check,
     _SIX,
     _SIX_OVERLAP,
+    _children,
     _histogram,
     _scan,
+    _walk,
 )
 
 from helpers import (
     all_matchings,
     brute_histogram,
     catalan,
+    closed_faces,
     dsu_cycle_count,
     faces_of,
     joined_connected,
     memo_state_count,
+    pieces,
     random_connected_graph,
     spec_quartic_melon,
     two_color_cycle,
@@ -232,6 +237,62 @@ def test_memo_stores_each_state_under_its_own_key(g, connected_only):
     finally:
         sys.settrace(old)
     assert kinds == {bytes, int}
+
+
+def free_list(nxt):
+    S = len(nxt) - 1
+    free = []
+    x = nxt[S]
+    while x != S:
+        free.append(x)
+        x = nxt[x]
+    return free
+
+
+@given(
+    st.integers(1, 8),
+    st.one_of(
+        st.integers(1, 6).map(lambda n: (n,)),
+        st.lists(st.integers(1, 3), min_size=2, max_size=3).map(tuple),
+    ),
+    st.integers(0, 10**6),
+    st.data(),
+)
+@settings(max_examples=100, deadline=None)
+def test_children_places_each_pair_and_restores_the_state(D, sizes, seed, data):
+    g = graph_of_parts(D, sizes, seed)
+    state = _walk(g)
+    bnd, nxt, prv, par, comp_ids, q = state
+    # reach a random state, holding a random child of each level in effect
+    pairs, closed, live, held = [], 0, q, []
+    for _ in range(data.draw(st.integers(0, g.n - 1))):
+        u = nxt[-1]
+        loop = _children(bnd, nxt, prv, par, comp_ids, u, live)
+        for _ in range(data.draw(st.integers(1, len(free_list(nxt)) - 1))):
+            v, dclosed, live = next(loop)
+        pairs.append((u, v))
+        closed += dclosed
+        held.append(loop)
+    assert closed == closed_faces(g, pairs)
+    assert live == pieces(g, pairs)
+    entry = [[list(b) for b in bnd], list(nxt), list(prv), list(par)]
+    free = free_list(nxt)
+    u = free[0]
+    placed = []
+    for v, dclosed, lv in _children(bnd, nxt, prv, par, comp_ids, u, live):
+        placed.append(v)
+        spliced = [list(b) for b in entry[0]]
+        assert dclosed == splice(spliced, u, v)
+        assert bnd == spliced
+        assert free_list(nxt) == [x for x in free if x not in (u, v)]
+        assert lv == pieces(g, pairs + [(u, v)])
+    assert placed == free[1:]
+    assert [bnd, nxt, prv, par] == entry
+    # exhausting the held levels, innermost first, restores the root state
+    for loop in reversed(held):
+        for _ in loop:
+            pass
+    assert state == _walk(g)
 
 
 def test_expectation_poly_examples():
