@@ -19,10 +19,9 @@ least of four free vertices from the boundary arrays alone.
 closes depend only on the boundary graph that the path ends make on the
 free vertices, so it memoizes the residual histogram of each state on that
 graph's canonical code, and pairing prefixes that leave isomorphic
-boundaries share one subtree.  With three pairs to go, once all
-components are joined, a cheaper key that ignores the colors' order takes
-over, and a table of the 15 matchings of six points scores every
-completion at once.
+boundaries share one subtree.  Once all components are joined, tables
+of the matchings of eight and of six points score every completion of a
+state with four or three pairs to go at once.
 
 `_scan` maximizes, as a branch and bound under a node budget.  It starts
 from the incumbent of one greedy descent, run on the walk's own state, and
@@ -54,9 +53,9 @@ from .graphs import (
 )
 
 # refuse histograms past n = 10, |M_10| = 654,729,075 pairings; the memoized
-# sum takes about 0.07 s, 0.5-0.7 s and 2.2 s at D = 3 and n = 8, 9, 10, and
-# 0.3 s, 3.2 s and 42 s at D = 4 (one core of a shared 2-core x86 host,
-# Python 3.11, seed 1; its speed drifts by up to 1.5x)
+# sum takes about 0.05 s, 0.35 s and 1.5 s at D = 3 and n = 8, 9, 10, and
+# 0.14 s, 1.7-1.9 s and 18-25 s at D = 4 (CPU time on one core of a shared
+# 2-core x86 host, Python 3.11, seed 1; its speed drifts by up to 1.5x)
 DEFAULT_HISTOGRAM_CAP = 10
 DEFAULT_NODE_BUDGET = 20_000_000
 
@@ -457,18 +456,60 @@ def _pairings(points: tuple) -> list[frozenset]:
     ]
 
 
-# The 15 matchings of six points.  P u Q is a union of even cycles, one per
-# shared pair and one more through the other points unless P == Q, so
-# cycles(P u Q) - 1 = |P & Q| - [P == Q].
-_SIX = _pairings(tuple(range(6)))
-_SIX_OVERLAP = [[len(P & Q) - (P == Q) for Q in _SIX] for P in _SIX]
-# a matching's index in _SIX from the partners p0, p1, p2 of points 0, 1, 2,
-# at 36 * p0 + 6 * p1 + p2 (-1 where no matching has them)
-_SIX_INDEX = [-1] * 216
-for _i, _P in enumerate(_SIX):
-    _p = dict(_P) | {b: a for a, b in _P}
-    _SIX_INDEX[36 * _p[0] + 6 * _p[1] + _p[2]] = _i
-del _i, _P, _p
+class _Rows(dict):
+    """Rows of the cycle table of the matchings of 2r points, built on first use.
+
+    A matching B is coded by the partners of points 0..2r-4, as digits base
+    2r from point 0 down.  They fix B: those 2r - 3 points are odd in
+    number, so one or three of them pair with the last three points, and
+    where one does, the two points left pair each other.  B's row is one
+    int whose byte j, little-endian, is cycles(P_j u B) - 1 over the
+    matchings P_j of `matchings`; a sum of rows adds byte by byte while no
+    byte passes 255.
+    """
+
+    def __init__(self, r: int):
+        super().__init__()
+        self.points = 2 * r
+        self.matchings = _pairings(tuple(range(2 * r)))
+
+    def __missing__(self, code: int) -> int:
+        m = self.points
+        mate = [-1] * m
+        digits = code
+        for x in range(m - 4, -1, -1):
+            digits, y = divmod(digits, m)
+            mate[x] = y
+            mate[y] = x
+        left = [x for x in range(m) if mate[x] < 0]
+        if left:
+            y, z = left
+            mate[y] = z
+            mate[z] = y
+        cycles = bytearray()
+        for P in self.matchings:
+            p = [0] * m
+            for y, z in P:
+                p[y] = z
+                p[z] = y
+            seen = [False] * m
+            found = -1
+            for x in range(m):
+                if not seen[x]:
+                    found += 1
+                    y = x
+                    while not seen[y]:
+                        seen[y] = seen[p[y]] = True
+                        y = mate[p[y]]
+            cycles.append(found)
+        row = self[code] = int.from_bytes(cycles, "little")
+        return row
+
+
+# rows of the 15 matchings of six points and of the 105 of eight; every call
+# shares them, as a row depends on its code alone
+_SIX_ROWS = _Rows(3)
+_EIGHT_ROWS = _Rows(4)
 
 
 def _histogram(G: ColoredGraph, connected_only: bool) -> tuple[dict[int, int], int]:
@@ -506,23 +547,31 @@ def _histogram(G: ColoredGraph, connected_only: bool) -> tuple[dict[int, int], i
     alike, are joined by a byte no label takes; a set with no free vertex
     can never be joined, so such a state adds nothing.
 
-    Once every set is joined (live == 1), 3 pairs to go take a cheaper,
-    color-free key.  Rank the six free vertices 0..5 in list order; color
-    c's path ends pair them by a matching B_c, and the faces a completion P
-    closes, F(P) = sum over c of cycles(P u B_c), depend only on the
-    multiset of the B_c, not on the colors' order.  All 15 completions are
-    scored from the 15 x 15 table _SIX_OVERLAP of cycles(P u Q) - 1: the
-    key is the sum over c of B_c's row, packed w bits a field, so field P
-    holds F(P) - D, and the residual histogram is read off its 15 fields.
-    The table is invertible, so the key stands for the multiset of the B_c
-    and nothing coarser.  These int keys share the memo with the canonical
-    bytes keys, which they can never equal.  With 4 pairs to go and every set
-    joined the state is not memoized: there a key, canonical or the sorted
-    rank codes of the B_c, cost more than its hits saved.
+    Once every set is joined (live == 1), a state with r = 4 or 3 pairs to
+    go is scored whole from a table.  Rank the 2r free vertices in list
+    order; color c's path ends pair them by a matching B_c, and a
+    completion P closes F(P) = sum over c of cycles(P u B_c) faces.  The
+    table `_EIGHT_ROWS` or `_SIX_ROWS` holds B_c's row, one byte
+    cycles(P u B_c) - 1 for each of the 105 or 15 completions P, found
+    from the partner ranks of B_c's first 2r - 3 points (see `_Rows`).
+    The sum of the colors' rows holds F(P) - D <= (r - 1) * D in byte P,
+    and the residual histogram is read off its bytes, one count per value.
+    A sum carries past a byte from D = 86 at r = 4 and from D = 128 at r
+    = 3, so there the walk goes on to the level below.
 
-    The last two levels, where the walk still reaches them (at n = 2, or
-    with sets still apart at 3 pairs to go), are scored by `_last_two`, as
-    in `_scan`.
+    Joined states with 4 pairs to go are not memoized: keyed on the table
+    sum, a memo there held 4.5 times the states of the D = 4, n = 10
+    histogram and raised its peak from 64 to 265 MB maxrss, for a 7-13%
+    gain in time and none at n <= 7.  At 3 pairs to go, which a joined
+    state reaches only at the root, below a join made at 4 pairs to go or
+    for D from 86, the table sum is the key: it ignores the colors' order,
+    and the 15 x 15 table is invertible, so it stands for the multiset of
+    the B_c and nothing coarser.  These int keys share the memo with the
+    canonical bytes keys, which they can never equal.
+
+    The last two levels, where the walk still reaches them (at n = 2, with
+    sets still apart at 3 pairs to go, or for D from 128), are scored by
+    `_last_two`, as in `_scan`.
     """
     D = G.D
     n = G.n
@@ -532,22 +581,29 @@ def _histogram(G: ColoredGraph, connected_only: bool) -> tuple[dict[int, int], i
     bnd, nxt, prv, par, comp_ids, q = _walk(G)
     S = two_n  # sentinel of the free list
     k = count_matchings(n).bit_length()
-    x_to = [1 << k * f for f in range(3 * D + 1)]  # x**f for the last three levels
+    x_to = [1 << k * f for f in range(2 * D + 1)]  # x**f for the last two levels
     ring = [(bnd[c], bnd[c - 1]) for c in range(D)]
     seen = [0] * two_n  # seen[x] == stamp marks x as reached by this walk
     stamp = 0
     sig = [0] * two_n  # ring signature of each free vertex
     label = [-1] * two_n  # BFS labels of the code being written
     # residual histograms, on canonical codes (bytes) and, with 3 pairs to go
-    # and live == 1, on packed table rows (ints, which never equal bytes)
+    # and live == 1, on summed six-point rows (ints, which never equal bytes)
     memo: dict[bytes | int, int] = {}
     rank = [0] * two_n  # rank of each free vertex in list order
-    w = (2 * D).bit_length()  # bits of one field; a field is at most 2 * D
-    w_mask = (1 << w) - 1
-    six_row = [
-        0 if i < 0 else sum(t << w * j for j, t in enumerate(_SIX_OVERLAP[i]))
-        for i in _SIX_INDEX
-    ]
+
+    def scored(key: int, size: int, top: int) -> int:
+        """The residual histogram of a sum of table rows of size bytes.
+
+        A byte t <= top stands for a completion closing D + t faces.
+        """
+        fields = key.to_bytes(size, "little")
+        h = 0
+        for t in range(top + 1):
+            c = fields.count(t)
+            if c:
+                h += c << k * (D + t)
+        return h
 
     def least_code(roots: list[int]) -> bytes:
         """The least code over the roots; a walk stops once it is larger."""
@@ -640,8 +696,31 @@ def _histogram(G: ColoredGraph, connected_only: bool) -> tuple[dict[int, int], i
                 if live == 1 or _find(par, comp_ids[v]) != ru:
                     h += x_to[f]
             return h
-        if live == 1 and remaining == 3:
-            # rank the six free vertices and sum the colors' table rows
+        if live == 1 and remaining == 4 and 3 * D < 256:
+            # rank the eight free vertices and sum the colors' table rows
+            a = nxt[u]
+            b = nxt[a]
+            c = nxt[b]
+            d = nxt[c]
+            e = nxt[d]
+            f = nxt[e]
+            rank[u] = 0
+            rank[a] = 1
+            rank[b] = 2
+            rank[c] = 3
+            rank[d] = 4
+            rank[e] = 5
+            rank[f] = 6
+            rank[nxt[f]] = 7
+            rows = 0
+            for bc in bnd:
+                rows += _EIGHT_ROWS[
+                    4096 * rank[bc[u]] + 512 * rank[bc[a]] + 64 * rank[bc[b]]
+                    + 8 * rank[bc[c]] + rank[bc[d]]
+                ]
+            return scored(rows, 105, 3 * D)
+        if live == 1 and remaining == 3 and 2 * D < 256:
+            # likewise with six, memoized on the sum
             a = nxt[u]
             b = nxt[a]
             c = nxt[b]
@@ -654,13 +733,10 @@ def _histogram(G: ColoredGraph, connected_only: bool) -> tuple[dict[int, int], i
             rank[nxt[d]] = 5
             key = 0
             for bc in bnd:
-                key += six_row[36 * rank[bc[u]] + 6 * rank[bc[a]] + rank[bc[b]]]
+                key += _SIX_ROWS[36 * rank[bc[u]] + 6 * rank[bc[a]] + rank[bc[b]]]
             h = memo.get(key)
             if h is None:
-                h = 0
-                for i in range(0, 15 * w, w):
-                    h += x_to[D + (key >> i & w_mask)]
-                memo[key] = h
+                h = memo[key] = scored(key, 15, 2 * D)
             return h
         key = None
         if 4 < remaining <= 127 or remaining == 4 and live > 1:
@@ -709,8 +785,9 @@ class FaceHistogram:
     n: int
     D: int
     # boundary states the memoized recursion stored, the entries of its memo
-    # (canonical codes and six-point table keys); a work count, kept out of
-    # equality and of the JSON report
+    # (canonical codes, and six-point table keys where a joined state with 3
+    # pairs to go is reached); a work count, kept out of equality and of the
+    # JSON report
     states: int = field(default=0, compare=False)
 
     @property
@@ -739,7 +816,9 @@ def enumerate_histogram(
 
     Graphs with n above budget are refused.  The sum is `_histogram`'s
     memoized recursion; states counts the boundary states it stored, the
-    entries of its one memo (canonical codes and six-point table keys).
+    entries of its one memo (canonical codes, and six-point table keys
+    where a joined state with 3 pairs to go is reached: at n = 3, or below
+    a connected sum's last join made at 4 pairs to go).
     """
     if G.n > budget:
         raise BudgetExceeded(

@@ -252,9 +252,12 @@ def memo_state_count(G: ColoredGraph, connected_only: bool = False) -> tuple[int
     alternating paths from scratch, the components' joins by union-find,
     and the isomorphism class of the boundary graph by a depth-first code
     minimized over every root.  Keys are canonical with 5 or more pairs to
-    go, or 4 while components are still apart; with 3 pairs to go once all
-    are joined, the multiset of the colors' boundary matchings, each as
-    pairs of ranks among the six free vertices.
+    go, or 4 while components are still apart.  Once all are joined, a
+    state with 4 pairs to go is scored whole and never stored while its
+    table's byte sums fit (3 * D < 256); one with 3 pairs to go, reached
+    only at the root, below a join made at 4 pairs to go or past that D,
+    is keyed while 2 * D < 256 by the multiset of the colors' boundary
+    matchings, each as pairs of ranks among the six free vertices.
     """
     D, two_n = G.D, 2 * G.n
     partners = G.partner_arrays()
@@ -314,7 +317,7 @@ def memo_state_count(G: ColoredGraph, connected_only: bool = False) -> tuple[int
             for u, v in mate.items():
                 up[top(comp[u])] = top(comp[v])
         live = len({top(c) for c in range(q)})
-        if r < 3 or r == 3 and live > 1:
+        if r < 3 or r == 3 and (live > 1 or 2 * D > 255) or r == 4 and live == 1 and 3 * D < 256:
             return
         bnd = boundary(mate, free)
         if r == 3:

@@ -32,8 +32,7 @@ from tensorwick.wick import (
     lemma_condition,
     max_scaling,
     subadditivity_check,
-    _SIX,
-    _SIX_OVERLAP,
+    _Rows,
     _children,
     _histogram,
     _scan,
@@ -102,13 +101,21 @@ def test_histogram_totals():
         assert hc.total_pairings <= h.total_pairings
 
 
-@given(
-    st.integers(1, 8), st.one_of(part_sizes, st.just((5,))), st.integers(0, 10**6), st.booleans()
+# single graphs whose joined states with 4 pairs to go are scored from the
+# eight-point table, and unions whose larger first part makes them join at or
+# below that level, reaching the six-point table
+table_sizes = st.one_of(
+    st.integers(4, 6).map(lambda n: (n,)),
+    st.sampled_from([(3, 1), (4, 1), (3, 2), (2, 1, 2), (4, 2), (3, 1, 1)]),
 )
-@settings(max_examples=120, deadline=None)
+
+
+@given(st.integers(1, 8), st.one_of(part_sizes, table_sizes), st.integers(0, 10**6), st.booleans())
+@settings(max_examples=160, deadline=None)
 def test_histogram_matches_brute_force(D, sizes, seed, connected_only):
-    # joined states with 3 pairs to go are scored from the six-point table,
-    # at the root or below a union's last join
+    # joined states are scored from the six-point table with 3 pairs to go,
+    # at the root or below a union's last join, and from the eight-point
+    # table with 4
     g = graph_of_parts(D, sizes, seed)
     assert (
         enumerate_histogram(g, connected_only=connected_only).counts
@@ -127,11 +134,43 @@ def test_memoized_histogram_matches_brute_force(D, sizes, seed, connected_only):
     )
 
 
+@pytest.mark.parametrize(
+    "D, sizes, seed",
+    # the table's bytes would carry from D = 86 at 4 pairs to go and from
+    # D = 128 at 3, where the walk takes over
+    [(86, (4,), 0), (86, (5,), 1), (100, (5,), 2), (130, (5,), 3), (90, (3, 2), 4)],
+)
+def test_histograms_past_the_tables_byte_range(D, sizes, seed):
+    g = graph_of_parts(D, sizes, seed)
+    for connected_only in (False, True):
+        assert (
+            enumerate_histogram(g, connected_only=connected_only).counts
+            == brute_histogram(g, connected_only=connected_only)
+        )
+
+
+def check_table_rows(r):
+    # a fresh table builds every row from its partner code, on first use
+    rows = _Rows(r)
+    m = 2 * r
+    assert len(rows.matchings) == len(set(rows.matchings)) == count_matchings(r)
+    for Q in all_matchings(m):
+        mate = dict(Q) | {v: u for u, v in Q}
+        code = 0
+        for x in range(m - 3):
+            code = code * m + mate[x]
+        assert code not in rows
+        faces = rows[code].to_bytes(len(rows.matchings), "little")
+        assert list(faces) == [dsu_cycle_count(P, Q, m) - 1 for P in rows.matchings]
+    assert len(rows) == count_matchings(r)
+
+
 def test_six_point_table_counts_cycles():
-    assert len(_SIX) == len(set(_SIX)) == 15
-    for P, row in zip(_SIX, _SIX_OVERLAP):
-        for Q, t in zip(_SIX, row):
-            assert t == dsu_cycle_count(P, Q, 6) - 1
+    check_table_rows(3)
+
+
+def test_eight_point_table_counts_cycles():
+    check_table_rows(4)
 
 
 def relabeled(g, perm, colors):
@@ -158,28 +197,30 @@ def test_histogram_ignores_vertex_and_color_names(D, sizes, seed, connected_only
 
 # counts computed pairing by pairing, by an exhaustive walk without the
 # memo; states by helpers.memo_state_count, split (canonical, table) as
-# (420, 672), (1997, 2965) and (25, 296)
+# (420, 0), (1997, 0) and (25, 0): the single graphs are scored from the
+# eight-point table and the union joins its parts before 4 pairs to go, so
+# none of them reaches the six-point table
 HISTOGRAM_PINS = [
     (
         lambda: random_colored_graph(3, 8, 1),
         False,
         {3: 62240, 4: 248692, 5: 457440, 6: 514065, 7: 394759, 8: 219651, 9: 91769,
          10: 29377, 11: 7281, 12: 1461, 13: 255, 14: 33, 15: 2},
-        1092,
+        420,
     ),
     (
         lambda: random_colored_graph(4, 8, 1),
         False,
         {4: 18988, 5: 102698, 6: 257944, 7: 407682, 8: 449349, 9: 371060, 10: 235549,
          11: 117748, 12: 46656, 13: 14751, 14: 3751, 15: 719, 16: 115, 17: 14, 18: 1},
-        4962,
+        1997,
     ),
     (
         lambda: disjoint_union(random_connected_graph(3, 3, 1), random_connected_graph(3, 4, 2)),
         True,
         {3: 5728, 4: 21344, 5: 32064, 6: 33692, 7: 22720, 8: 11232, 9: 4800, 10: 1524,
          11: 384, 12: 72},
-        321,
+        25,
     ),
 ]
 
@@ -197,7 +238,8 @@ def test_histogram_pins_and_state_counts(make, connected_only, counts, states):
 @pytest.mark.parametrize(
     "D, sizes, seed, connected_only",
     [(1, (6,), 0, False), (2, (6,), 1, False), (3, (7,), 2, False), (5, (6,), 3, False),
-     (3, (2, 4), 4, True), (4, (1, 2, 3), 5, True), (3, (3, 3), 6, False), (8, (5,), 7, True)],
+     (3, (2, 4), 4, True), (4, (1, 2, 3), 5, True), (3, (3, 3), 6, False), (8, (5,), 7, True),
+     (3, (4, 3), 8, True), (100, (5,), 9, False), (100, (3, 2), 10, True)],
 )
 def test_state_count_matches_an_independent_walk(D, sizes, seed, connected_only):
     g = graph_of_parts(D, sizes, seed)
@@ -208,13 +250,16 @@ def test_state_count_matches_an_independent_walk(D, sizes, seed, connected_only)
 @pytest.mark.parametrize(
     "g, connected_only",
     [(random_colored_graph(3, 6, 1), False),
-     (disjoint_union(random_connected_graph(3, 3, 1), random_connected_graph(3, 4, 2)), True)],
+     (disjoint_union(random_connected_graph(3, 3, 1), random_connected_graph(3, 4, 2)), True),
+     (disjoint_union(random_connected_graph(3, 4, 2), random_connected_graph(3, 3, 1)), True)],
 )
 def test_memo_stores_each_state_under_its_own_key(g, connected_only):
     # a histogram stored under a key no state has, such as key + 1 at the
-    # table level (a key's 15 fields sum to 8 * D), keeps every count and
+    # six-point level (a key's 15 bytes sum to 8 * D), keeps every count and
     # states and only loses the memo's hits; so watch the walk: each time a
-    # keyed level returns, the memo must hold its histogram at its key
+    # keyed level returns, the memo must hold its histogram at its key.  The
+    # six-point level is reached below a join made at 4 pairs to go, which
+    # only the last union, whose first part is the larger, makes
     (rec_code,) = [c for c in _histogram.__code__.co_consts if getattr(c, "co_name", "") == "rec"]
     kinds = set()
 
@@ -236,7 +281,7 @@ def test_memo_stores_each_state_under_its_own_key(g, connected_only):
         enumerate_histogram(g, connected_only=connected_only)
     finally:
         sys.settrace(old)
-    assert kinds == {bytes, int}
+    assert kinds == ({bytes, int} if memo_state_count(g, connected_only)[1] else {bytes})
 
 
 def free_list(nxt):
