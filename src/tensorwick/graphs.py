@@ -5,8 +5,8 @@ one per color c = 1..D, over the dense vertex labels 0..2n-1.  Matchings of
 different colors may contain the same pair, so multi-edges are first class.
 Equality compares the ordered color lists, so relabelled or recolored
 copies of a graph are different graphs.  The one isomorphism quotient in
-the package is internal to `wick._histogram`, which memoizes its sum on
-the isomorphism classes of boundary graphs.
+the package is the internal `wick._boundary_code`, on whose classes of
+boundary graphs `wick._histogram` memoizes its sum.
 """
 
 from __future__ import annotations
@@ -25,10 +25,17 @@ class GraphFormatError(ValueError):
 
 
 def _integral(x) -> int:
-    """int(x), refusing the floats (inf and nan too) that int() would truncate."""
-    if isinstance(x, float) and not x.is_integer():
+    """int(x), refusing any number (inf and nan too) that int() would change.
+
+    A string is parsed by int(), so "1" is read as 1 and "1.5" refused.
+    """
+    try:
+        n = int(x)
+    except (OverflowError, ValueError):
+        n = None
+    if n is None or not isinstance(x, str) and n != x:
         raise ValueError(f"{x!r} is not an integer")
-    return int(x)
+    return n
 
 
 def _normalize_pair(u: int, v: int) -> Pair:
@@ -50,7 +57,7 @@ class Matching:
     __slots__ = ("pairs", "ground_size", "_partner", "_hash")
 
     def __init__(self, pairs: Iterable[Sequence[int]], ground_size: int):
-        ground_size = int(ground_size)
+        ground_size = _integral(ground_size)
         if ground_size < 0:
             raise ValueError("ground_size must be non-negative")
         norm = sorted(_normalize_pair(u, v) for u, v in pairs)
@@ -91,8 +98,13 @@ class Matching:
         return iter(self.pairs)
 
     def __contains__(self, pair) -> bool:
-        u, v = pair
-        return _normalize_pair(u, v) in set(self.pairs)
+        """Whether the matching holds pair; False for a pair no matching can hold."""
+        try:
+            u, v = pair
+            u, v = _normalize_pair(u, v)
+        except ValueError:
+            return False
+        return 0 <= u and v < self.ground_size and self.partner_array()[u] == v
 
     def __eq__(self, other) -> bool:
         return (

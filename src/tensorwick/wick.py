@@ -18,10 +18,10 @@ least of four free vertices from the boundary arrays alone.
 `_histogram` sums the exact histograms.  The faces the rest of a pairing
 closes depend only on the boundary graph that the path ends make on the
 free vertices, so it memoizes the residual histogram of each state on that
-graph's canonical code, and pairing prefixes that leave isomorphic
-boundaries share one subtree.  Once all components are joined, tables
-of the matchings of eight and of six points score every completion of a
-state with four or three pairs to go at once.
+graph's canonical code, `_boundary_code`, and pairing prefixes that leave
+isomorphic boundaries share one subtree.  Once all components are joined,
+tables of the matchings of eight and of six points score every completion
+of a state with four or three pairs to go at once, without a memo.
 
 `_scan` maximizes, as a branch and bound under a node budget.  It starts
 from the incumbent of one greedy descent, run on the walk's own state, and
@@ -45,6 +45,7 @@ from .faces import scaling_defect
 from .graphs import (
     ColoredGraph,
     Matching,
+    _integral,
     copy_pairing,
     count_matchings,
     disjoint_union,
@@ -505,6 +506,20 @@ class _Rows(dict):
         row = self[code] = int.from_bytes(cycles, "little")
         return row
 
+    def residual(self, rows: int, D: int, k: int) -> int:
+        """The histogram, as `_histogram` keeps one, of a sum of D rows.
+
+        Byte t of rows, at most (r - 1) * D, stands for a completion
+        closing D + t faces.
+        """
+        fields = rows.to_bytes(len(self.matchings), "little")
+        h = 0
+        for t in range((self.points // 2 - 1) * D + 1):
+            c = fields.count(t)
+            if c:
+                h += c << k * (D + t)
+        return h
+
 
 # rows of the 15 matchings of six points and of the 105 of eight; every call
 # shares them, as a row depends on its code alone
@@ -512,13 +527,99 @@ _SIX_ROWS = _Rows(3)
 _EIGHT_ROWS = _Rows(4)
 
 
+def _boundary_code(
+    bnd: Sequence[list[int]],
+    free: list[int],
+    par: Optional[list[int]] = None,
+    comp_ids: Sequence[int] = (),
+    live: int = 1,
+) -> Optional[bytes]:
+    """The canonical code of the boundary graph B on the free vertices.
+
+    B joins each free vertex x to bnd[c][x] for every color c.  Equal codes
+    mean isomorphic graphs, colors kept in order: an edge-colored graph is
+    rigid once a root is fixed, so a breadth-first walk from a root,
+    visiting colors in order, labels each vertex by its discovery rank, and
+    the code lists the labels of every vertex's neighbours in label order,
+    one byte each (so B has at most 127 vertex pairs).  A component's code
+    is its least over the roots whose signature, the lengths of the cycles
+    of the ring color pairs (c, c - 1) through them, is least; B's code
+    joins the sorted component codes.  Each closes its own component (the
+    labels used equal the vertices read), so the joined bytes are
+    unambiguous.
+
+    With live > 1, the components are grouped by the union-find par over
+    comp_ids, and the groups, each coded alike, are joined by byte 255,
+    which no label takes.  Returns None when fewer than live groups hold a
+    free vertex: the set left without one can never be joined.
+    """
+    size = len(bnd[0])
+    D = len(bnd)
+    seen = [-1] * size  # seen[x] == c: x is on a counted cycle of ring pair c
+    sig = [0] * size
+    base = len(free) + 1
+    for c in range(D):
+        bc = bnd[c]
+        bd = bnd[c - 1]
+        for x in free:
+            if seen[x] != c:
+                cycle = []
+                y = x
+                while seen[y] != c:
+                    seen[y] = c
+                    cycle.append(y)
+                    y = bc[y]
+                    seen[y] = c
+                    cycle.append(y)
+                    y = bd[y]
+                length = len(cycle)
+                for y in cycle:
+                    sig[y] = sig[y] * base + length
+    label = [-1] * size
+    groups: dict[int, list[bytes]] = {}
+    for x in free:
+        if seen[x] == D:
+            continue
+        members = [x]
+        seen[x] = D
+        for y in members:
+            for bc in bnd:
+                z = bc[y]
+                if seen[z] != D:
+                    seen[z] = D
+                    members.append(z)
+        least = min([sig[y] for y in members])
+        best = None
+        for root in members:
+            if sig[root] != least:
+                continue
+            label[root] = 0
+            order = [root]
+            code = []
+            for y in order:
+                for bc in bnd:
+                    z = bc[y]
+                    lz = label[z]
+                    if lz < 0:
+                        lz = label[z] = len(order)
+                        order.append(z)
+                    code.append(lz)
+            for y in order:
+                label[y] = -1
+            if best is None or code < best:
+                best = code
+        groups.setdefault(_find(par, comp_ids[x]) if live > 1 else 0, []).append(bytes(best))
+    if len(groups) < live:
+        return None
+    return b"\xff".join(sorted(b"".join(sorted(g)) for g in groups.values()))
+
+
 def _histogram(G: ColoredGraph, connected_only: bool) -> tuple[dict[int, int], int]:
     """Face histogram of G by a recursion memoized on boundary states.
 
     Returns (counts, states): counts maps each face count to the number of
     pairings attaining it (with connected_only, of pairings joining all q
-    components); states is the number of entries of its memo, over both
-    key kinds below.
+    components); states is the number of entries of its memo.
 
     The walk places pairs as `_scan` does, on `_walk`'s state and through
     `_children`; the union-find only counts with connected_only.  With r
@@ -532,20 +633,11 @@ def _histogram(G: ColoredGraph, connected_only: bool) -> tuple[dict[int, int], i
     sum of two histograms is the sum of their ints.
 
     States with 5 to 127 pairs to go, and with 4 while union-find sets are
-    still apart, are memoized for the call, keyed on the isomorphism class
-    of B: lower down a subtree costs less than its key, and above 127 a
-    label no longer fits a byte below 255.  Edge-colored graphs are rigid
-    once a root is fixed, so a breadth-first walk from a root, visiting
-    colors in order, labels each vertex by its discovery rank; the code
-    lists the labels of every vertex's neighbours in label order, one byte
-    each.  A component's key is its least code over the roots whose
-    signature, the lengths of the cycles of the ring color pairs (c, c - 1)
-    through them, is least, and B's key joins the sorted component codes.
-    Each code closes its own component (the labels used equal the vertices
-    read), so the joined bytes are unambiguous.  With connected_only, B's
-    components are grouped by union-find set and the groups, each keyed
-    alike, are joined by a byte no label takes; a set with no free vertex
-    can never be joined, so such a state adds nothing.
+    still apart, are memoized for the call on `_boundary_code`, the
+    isomorphism class of B, with its components grouped by union-find set
+    under connected_only: lower down a subtree costs less than its key, and
+    above 127 a label no longer fits a byte below 255.  A state with a set
+    left without a free vertex can never be joined, so it adds nothing.
 
     Once every set is joined (live == 1), a state with r = 4 or 3 pairs to
     go is scored whole from a table.  Rank the 2r free vertices in list
@@ -559,15 +651,12 @@ def _histogram(G: ColoredGraph, connected_only: bool) -> tuple[dict[int, int], i
     A sum carries past a byte from D = 86 at r = 4 and from D = 128 at r
     = 3, so there the walk goes on to the level below.
 
-    Joined states with 4 pairs to go are not memoized: keyed on the table
-    sum, a memo there held 4.5 times the states of the D = 4, n = 10
+    Table-scored states are not memoized.  Keyed on the table sum, a memo
+    at 4 pairs to go held 4.5 times the states of the D = 4, n = 10
     histogram and raised its peak from 64 to 265 MB maxrss, for a 7-13%
-    gain in time and none at n <= 7.  At 3 pairs to go, which a joined
-    state reaches only at the root, below a join made at 4 pairs to go or
-    for D from 86, the table sum is the key: it ignores the colors' order,
-    and the 15 x 15 table is invertible, so it stands for the multiset of
-    the B_c and nothing coarser.  These int keys share the memo with the
-    canonical bytes keys, which they can never equal.
+    gain in time and none at n <= 7.  A joined state reaches 3 pairs to go
+    only at the root, below a join made at 4 pairs to go or for D from 86;
+    keyed on the table sum, a memo there answered 0-21% of its lookups.
 
     The last two levels, where the walk still reaches them (at n = 2, with
     sets still apart at 3 pairs to go, or for D from 128), are scored by
@@ -582,105 +671,8 @@ def _histogram(G: ColoredGraph, connected_only: bool) -> tuple[dict[int, int], i
     S = two_n  # sentinel of the free list
     k = count_matchings(n).bit_length()
     x_to = [1 << k * f for f in range(2 * D + 1)]  # x**f for the last two levels
-    ring = [(bnd[c], bnd[c - 1]) for c in range(D)]
-    seen = [0] * two_n  # seen[x] == stamp marks x as reached by this walk
-    stamp = 0
-    sig = [0] * two_n  # ring signature of each free vertex
-    label = [-1] * two_n  # BFS labels of the code being written
-    # residual histograms, on canonical codes (bytes) and, with 3 pairs to go
-    # and live == 1, on summed six-point rows (ints, which never equal bytes)
-    memo: dict[bytes | int, int] = {}
+    memo: dict[bytes, int] = {}  # residual histograms on canonical codes
     rank = [0] * two_n  # rank of each free vertex in list order
-
-    def scored(key: int, size: int, top: int) -> int:
-        """The residual histogram of a sum of table rows of size bytes.
-
-        A byte t <= top stands for a completion closing D + t faces.
-        """
-        fields = key.to_bytes(size, "little")
-        h = 0
-        for t in range(top + 1):
-            c = fields.count(t)
-            if c:
-                h += c << k * (D + t)
-        return h
-
-    def least_code(roots: list[int]) -> bytes:
-        """The least code over the roots; a walk stops once it is larger."""
-        best = None
-        for root in roots:
-            label[root] = 0
-            order = [root]
-            code = []
-            below = best is None  # already smaller than best
-            above = False
-            for y in order:
-                for bc in bnd:
-                    z = bc[y]
-                    lz = label[z]
-                    if lz < 0:
-                        lz = label[z] = len(order)
-                        order.append(z)
-                    if not below:
-                        lb = best[len(code)]
-                        if lz > lb:
-                            above = True
-                            break
-                        below = lz < lb
-                    code.append(lz)
-                if above:
-                    break
-            if not above:
-                best = code
-            for y in order:
-                label[y] = -1
-        return bytes(best)
-
-    def state_key(live: int) -> Optional[bytes]:
-        """The canonical code of B (with its grouping), None for a dead state."""
-        nonlocal stamp
-        free = []
-        x = nxt[S]
-        while x != S:
-            free.append(x)
-            sig[x] = 0
-            x = nxt[x]
-        base = len(free) + 1
-        for bc, bd in ring:
-            stamp += 1
-            for x in free:
-                if seen[x] != stamp:
-                    cycle = []
-                    y = x
-                    while seen[y] != stamp:
-                        seen[y] = stamp
-                        cycle.append(y)
-                        y = bc[y]
-                        seen[y] = stamp
-                        cycle.append(y)
-                        y = bd[y]
-                    length = len(cycle)
-                    for y in cycle:
-                        sig[y] = sig[y] * base + length
-        groups: dict[int, list[bytes]] = {}
-        stamp += 1
-        for x in free:
-            if seen[x] == stamp:
-                continue
-            members = [x]
-            seen[x] = stamp
-            for y in members:
-                for bc in bnd:
-                    z = bc[y]
-                    if seen[z] != stamp:
-                        seen[z] = stamp
-                        members.append(z)
-            least = min([sig[y] for y in members])
-            code = least_code([y for y in members if sig[y] == least])
-            groups.setdefault(_find(par, comp_ids[x]) if live > 1 else 0, []).append(code)
-        if len(groups) < live:
-            return None
-        return b"\xff".join(sorted(b"".join(sorted(g)) for g in groups.values()))
 
     def rec(remaining: int, live: int) -> int:
         u = nxt[S]
@@ -718,9 +710,9 @@ def _histogram(G: ColoredGraph, connected_only: bool) -> tuple[dict[int, int], i
                     4096 * rank[bc[u]] + 512 * rank[bc[a]] + 64 * rank[bc[b]]
                     + 8 * rank[bc[c]] + rank[bc[d]]
                 ]
-            return scored(rows, 105, 3 * D)
+            return _EIGHT_ROWS.residual(rows, D, k)
         if live == 1 and remaining == 3 and 2 * D < 256:
-            # likewise with six, memoized on the sum
+            # likewise with six
             a = nxt[u]
             b = nxt[a]
             c = nxt[b]
@@ -731,16 +723,18 @@ def _histogram(G: ColoredGraph, connected_only: bool) -> tuple[dict[int, int], i
             rank[c] = 3
             rank[d] = 4
             rank[nxt[d]] = 5
-            key = 0
+            rows = 0
             for bc in bnd:
-                key += _SIX_ROWS[36 * rank[bc[u]] + 6 * rank[bc[a]] + rank[bc[b]]]
-            h = memo.get(key)
-            if h is None:
-                h = memo[key] = scored(key, 15, 2 * D)
-            return h
+                rows += _SIX_ROWS[36 * rank[bc[u]] + 6 * rank[bc[a]] + rank[bc[b]]]
+            return _SIX_ROWS.residual(rows, D, k)
         key = None
         if 4 < remaining <= 127 or remaining == 4 and live > 1:
-            key = state_key(live)
+            free = []
+            x = u
+            while x != S:
+                free.append(x)
+                x = nxt[x]
+            key = _boundary_code(bnd, free, par, comp_ids, live)
             if key is None:
                 return 0
             h = memo.get(key)
@@ -784,10 +778,8 @@ class FaceHistogram:
     connected_only: bool
     n: int
     D: int
-    # boundary states the memoized recursion stored, the entries of its memo
-    # (canonical codes, and six-point table keys where a joined state with 3
-    # pairs to go is reached); a work count, kept out of equality and of the
-    # JSON report
+    # boundary states the memoized recursion stored, the canonical codes in
+    # its memo; a work count, kept out of equality and of the JSON report
     states: int = field(default=0, compare=False)
 
     @property
@@ -815,10 +807,9 @@ def enumerate_histogram(
     """Exact face-count histogram over every pairing of G's vertices.
 
     Graphs with n above budget are refused.  The sum is `_histogram`'s
-    memoized recursion; states counts the boundary states it stored, the
-    entries of its one memo (canonical codes, and six-point table keys
-    where a joined state with 3 pairs to go is reached: at n = 3, or below
-    a connected sum's last join made at 4 pairs to go).
+    memoized recursion; states counts the boundary states it stored, one
+    canonical code each; states scored from a matching table are not
+    stored.
     """
     if G.n > budget:
         raise BudgetExceeded(
@@ -841,10 +832,10 @@ class ExpectationPoly:
 
     def __init__(self, nu, n: int, terms: dict):
         object.__setattr__(self, "nu", Fraction(nu))
-        object.__setattr__(self, "n", int(n))
+        object.__setattr__(self, "n", _integral(n))
         clean = {}
         for e, c in terms.items():
-            c = int(c)
+            c = _integral(c)
             if c:
                 clean[Fraction(e)] = c
         object.__setattr__(self, "terms", clean)

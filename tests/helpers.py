@@ -9,7 +9,7 @@ multi-index sum, melonic recognition by exploring every contraction order.
 from __future__ import annotations
 
 import math
-from itertools import product
+from itertools import permutations, product
 
 from tensorwick.graphs import ColoredGraph, Matching, random_colored_graph
 
@@ -243,8 +243,26 @@ def two_color_cycle(n: int) -> ColoredGraph:
     return ColoredGraph([m1, m2])
 
 
-def memo_state_count(G: ColoredGraph, connected_only: bool = False) -> tuple[int, int]:
-    """Entries of `wick._histogram`'s memo by key kind, as (canonical, table).
+def relabelings(G: ColoredGraph):
+    """G's colors, each as its sorted pairs, under every relabeling of its vertices.
+
+    One tuple per permutation of 0..2n-1, all (2n)! of them, colors kept in
+    order.
+    """
+    for perm in permutations(range(2 * G.n)):
+        yield tuple(
+            tuple(sorted((perm[u], perm[v]) if perm[u] < perm[v] else (perm[v], perm[u]) for u, v in m.pairs))
+            for m in G.matchings
+        )
+
+
+def least_relabeling(G: ColoredGraph) -> tuple:
+    """The least of G's relabelings: equal for two graphs exactly when they are isomorphic."""
+    return min(relabelings(G))
+
+
+def memo_state_count(G: ColoredGraph, connected_only: bool = False) -> int:
+    """Entries of `wick._histogram`'s memo, its canonical codes.
 
     Walks the pairing prefixes in the histogram's order (least free vertex
     first, partners ascending) and skips the subtree of every state whose
@@ -254,10 +272,8 @@ def memo_state_count(G: ColoredGraph, connected_only: bool = False) -> tuple[int
     minimized over every root.  Keys are canonical with 5 or more pairs to
     go, or 4 while components are still apart.  Once all are joined, a
     state with 4 pairs to go is scored whole and never stored while its
-    table's byte sums fit (3 * D < 256); one with 3 pairs to go, reached
-    only at the root, below a join made at 4 pairs to go or past that D,
-    is keyed while 2 * D < 256 by the multiset of the colors' boundary
-    matchings, each as pairs of ranks among the six free vertices.
+    table's byte sums fit (3 * D < 256), and no state with 3 pairs to go
+    or fewer is stored.
     """
     D, two_n = G.D, 2 * G.n
     partners = G.partner_arrays()
@@ -276,7 +292,7 @@ def memo_state_count(G: ColoredGraph, connected_only: bool = False) -> tuple[int
     for x in range(two_n):
         comp[x] = roots.index(find(x))
     q = len(roots) if connected_only else 1
-    canonical, tabled = set(), set()
+    canonical = set()
 
     def boundary(mate, free):
         bnd = []
@@ -317,15 +333,10 @@ def memo_state_count(G: ColoredGraph, connected_only: bool = False) -> tuple[int
             for u, v in mate.items():
                 up[top(comp[u])] = top(comp[v])
         live = len({top(c) for c in range(q)})
-        if r < 3 or r == 3 and (live > 1 or 2 * D > 255) or r == 4 and live == 1 and 3 * D < 256:
-            return
-        bnd = boundary(mate, free)
-        if r == 3:
-            rank = {x: i for i, x in enumerate(sorted(free))}
-            pairs = [sorted({tuple(sorted((rank[x], rank[b[x]]))) for x in free}) for b in bnd]
-            tabled.add(tuple(sorted(map(tuple, pairs))))
+        if r < 4 or r == 4 and live == 1 and 3 * D < 256:
             return
         if r > 4 or live > 1:
+            bnd = boundary(mate, free)
             groups = {}
             done = set()
             for x in sorted(free):
@@ -353,4 +364,4 @@ def memo_state_count(G: ColoredGraph, connected_only: bool = False) -> tuple[int
             rec({**mate, u: v, v: u}, free - {u, v})
 
     rec({}, frozenset(range(two_n)))
-    return len(canonical), len(tabled)
+    return len(canonical)

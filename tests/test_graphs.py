@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -42,6 +43,33 @@ def test_matching_validation():
     assert m.is_perfect
     assert (2, 3) in m and (3, 2) in m
     assert not Matching([(0, 1)], 4).is_perfect
+
+
+@pytest.mark.parametrize("size", [2.7, Fraction(5, 2), math.inf, math.nan])
+def test_matching_refuses_a_non_integral_ground_size(size):
+    with pytest.raises(ValueError, match="is not an integer"):
+        Matching([(0, 1)], size)
+
+
+def test_matching_refuses_a_non_integral_vertex():
+    with pytest.raises(ValueError, match="is not an integer"):
+        Matching([(0, Fraction(3, 2))], 4)
+
+
+def test_integral_numbers_and_strings_are_read_as_ints():
+    m = Matching([(Fraction(2), 3.0)], Fraction(8, 2))
+    assert m.pairs == ((2, 3),) and m.ground_size == 4
+    assert type(m.ground_size) is int and all(type(w) is int for w in m.pairs[0])
+    g = graph_from_json('{"D": "1", "vertices": "2", "matchings": [[["0", 1]]]}')
+    assert g == new_dipole(1)
+
+
+def test_membership_of_pairs_no_matching_holds():
+    m = Matching([(0, 1), (2, 3)], 6)
+    assert (0, 1) in m and (1, 0) in m and (3.0, 2) in m
+    for pair in [(0, 0), (4, 4), (0, 2), (4, 5), (-1, 0), (-2, -1), (5, 6), (0, 0.5), (1, 1.5)]:
+        assert pair not in m
+    assert (0, 1) not in Matching([], 0)
 
 
 def test_new_dipole():

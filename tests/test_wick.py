@@ -3,6 +3,7 @@ import random
 import sys
 from fractions import Fraction
 from functools import reduce
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from tensorwick.graphs import (
     new_dipole,
     random_colored_graph,
     random_melonic_graph,
+    random_perfect_matching,
     splice,
 )
 from tensorwick.wick import (
@@ -33,6 +35,7 @@ from tensorwick.wick import (
     max_scaling,
     subadditivity_check,
     _Rows,
+    _boundary_code,
     _children,
     _histogram,
     _scan,
@@ -47,9 +50,11 @@ from helpers import (
     dsu_cycle_count,
     faces_of,
     joined_connected,
+    least_relabeling,
     memo_state_count,
     pieces,
     random_connected_graph,
+    relabelings,
     spec_quartic_melon,
     two_color_cycle,
 )
@@ -137,11 +142,18 @@ def test_memoized_histogram_matches_brute_force(D, sizes, seed, connected_only):
 @pytest.mark.parametrize(
     "D, sizes, seed",
     # the table's bytes would carry from D = 86 at 4 pairs to go and from
-    # D = 128 at 3, where the walk takes over
-    [(86, (4,), 0), (86, (5,), 1), (100, (5,), 2), (130, (5,), 3), (90, (3, 2), 4)],
+    # D = 128 at 3, where the walk takes over; D = 85 is the last that the
+    # eight-point table scores, and with seed None every color is one
+    # matching, so the completion equal to it sums exactly 3 * D = 255
+    [(86, (4,), 0), (86, (5,), 1), (100, (5,), 2), (130, (5,), 3), (90, (3, 2), 4),
+     (85, (4,), 5), (85, (5,), 6), (85, (4,), None), (85, (5,), None)],
 )
 def test_histograms_past_the_tables_byte_range(D, sizes, seed):
-    g = graph_of_parts(D, sizes, seed)
+    if seed is None:
+        (n,) = sizes
+        g = ColoredGraph([random_perfect_matching(2 * n, n)] * D)
+    else:
+        g = graph_of_parts(D, sizes, seed)
     for connected_only in (False, True):
         assert (
             enumerate_histogram(g, connected_only=connected_only).counts
@@ -195,11 +207,63 @@ def test_histogram_ignores_vertex_and_color_names(D, sizes, seed, connected_only
     assert h.counts == enumerate_histogram(g, connected_only=connected_only).counts
 
 
+def whole_graph_code(g):
+    # every vertex free and one group: the code of g itself
+    return _boundary_code(g.partner_arrays(), list(range(2 * g.n)))
+
+
+def assert_codes_are_classes(pairs):
+    # pairs holds (code, least relabeling) for each graph: one code per
+    # isomorphism class, and one class per code
+    codes, classes = zip(*pairs)
+    assert len(set(codes)) == len(set(classes)) == len(pairs)
+
+
+@pytest.mark.parametrize("D", [1, 2, 3])
+def test_boundary_code_is_complete_on_every_small_graph(D):
+    pairs = set()
+    for n in (1, 2, 3):
+        ms = [Matching(m, 2 * n) for m in all_matchings(2 * n)]
+        least = {}  # each graph's least relabeling, found once per orbit
+        for colors in product(ms, repeat=D):
+            key = tuple(m.pairs for m in colors)
+            if key not in least:
+                orbit = set(relabelings(ColoredGraph(colors)))
+                least.update(dict.fromkeys(orbit, min(orbit)))
+            pairs.add((whole_graph_code(ColoredGraph(colors)), least[key]))
+    assert_codes_are_classes(pairs)
+
+
+def test_boundary_code_is_complete_on_sampled_graphs():
+    # each D = 4 sample with a relabeled copy and a copy with two colors
+    # swapped, which is mostly another graph on the same edges
+    rng = random.Random(4)
+    graphs = []
+    for n, seeds in ((2, 12), (3, 12), (4, 3)):
+        for s in range(seeds):
+            g = random_colored_graph(4, n, s)
+            perm = list(range(2 * n))
+            rng.shuffle(perm)
+            graphs += [g, relabeled(g, perm, range(4)), relabeled(g, range(2 * n), [1, 0, 2, 3])]
+    assert_codes_are_classes({(whole_graph_code(g), least_relabeling(g)) for g in graphs})
+
+
+def test_boundary_code_keeps_the_grouping():
+    # four like components grouped 2 + 2 and 1 + 3 concatenate to the same
+    # component codes; only the byte between groups tells them apart
+    g = reduce(disjoint_union, [new_dipole(3)] * 4)
+    comp_ids, q = g.component_ids()
+    bnd, free = g.partner_arrays(), list(range(8))
+    assert q == 4
+    two_two = _boundary_code(bnd, free, [0, 0, 2, 2], comp_ids, 2)
+    assert two_two == _boundary_code(bnd, free, [1, 1, 3, 3], comp_ids, 2)
+    assert two_two != _boundary_code(bnd, free, [0, 1, 1, 1], comp_ids, 2)
+    # a set without a free vertex: fewer groups than live sets
+    assert _boundary_code(bnd, free, [0, 0, 2, 2], comp_ids, 3) is None
+
+
 # counts computed pairing by pairing, by an exhaustive walk without the
-# memo; states by helpers.memo_state_count, split (canonical, table) as
-# (420, 0), (1997, 0) and (25, 0): the single graphs are scored from the
-# eight-point table and the union joins its parts before 4 pairs to go, so
-# none of them reaches the six-point table
+# memo; states by helpers.memo_state_count
 HISTOGRAM_PINS = [
     (
         lambda: random_colored_graph(3, 8, 1),
@@ -244,7 +308,7 @@ def test_histogram_pins_and_state_counts(make, connected_only, counts, states):
 def test_state_count_matches_an_independent_walk(D, sizes, seed, connected_only):
     g = graph_of_parts(D, sizes, seed)
     h = enumerate_histogram(g, connected_only=connected_only)
-    assert h.states == sum(memo_state_count(g, connected_only))
+    assert h.states == memo_state_count(g, connected_only)
 
 
 @pytest.mark.parametrize(
@@ -254,12 +318,12 @@ def test_state_count_matches_an_independent_walk(D, sizes, seed, connected_only)
      (disjoint_union(random_connected_graph(3, 4, 2), random_connected_graph(3, 3, 1)), True)],
 )
 def test_memo_stores_each_state_under_its_own_key(g, connected_only):
-    # a histogram stored under a key no state has, such as key + 1 at the
-    # six-point level (a key's 15 bytes sum to 8 * D), keeps every count and
+    # a histogram stored under a key no state has keeps every count and
     # states and only loses the memo's hits; so watch the walk: each time a
-    # keyed level returns, the memo must hold its histogram at its key.  The
-    # six-point level is reached below a join made at 4 pairs to go, which
-    # only the last union, whose first part is the larger, makes
+    # keyed level returns, the memo must hold its histogram at its key, a
+    # canonical code.  The six-point table, reached below a join made at 4
+    # pairs to go (which only the last union, whose first part is the
+    # larger, makes), stores nothing
     (rec_code,) = [c for c in _histogram.__code__.co_consts if getattr(c, "co_name", "") == "rec"]
     kinds = set()
 
@@ -281,7 +345,7 @@ def test_memo_stores_each_state_under_its_own_key(g, connected_only):
         enumerate_histogram(g, connected_only=connected_only)
     finally:
         sys.settrace(old)
-    assert kinds == ({bytes, int} if memo_state_count(g, connected_only)[1] else {bytes})
+    assert kinds == {bytes}
 
 
 def free_list(nxt):
@@ -382,6 +446,14 @@ def test_poly_algebra():
     assert abs(q.evaluate(2.0) - 4.5) < 1e-12
     with pytest.raises(ValueError):
         p + ExpectationPoly(1, 1, {Fraction(1): 1})
+
+
+@pytest.mark.parametrize("n, coefficient", [(1.5, 1), (1, 1.5), (Fraction(3, 2), 1), (1, Fraction(1, 2))])
+def test_expectation_poly_refuses_non_integral_n_and_coefficients(n, coefficient):
+    with pytest.raises(ValueError, match="is not an integer"):
+        ExpectationPoly(2, n, {0: coefficient})
+    p = ExpectationPoly(2, 2.0, {0: Fraction(6, 2)})
+    assert (p.n, p.terms) == (2, {0: 3}) and type(p.n) is type(p.terms[0]) is int
 
 
 def test_max_scaling_examples():
