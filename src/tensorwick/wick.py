@@ -31,7 +31,10 @@ Gurau's degree bound less D for each join still missing.  Neither prunes a
 tie, so the walk counts every optimal pairing and reports the
 lexicographically least witness (see `_scan`).  With a target too, it is a
 decision search that stops at the first pairing reaching the target, as
-the factorization verdict's pair question does.
+the factorization verdict's pair question does.  It shares `_histogram`'s
+bottom and key: joined states with four pairs to go are scored whole from
+the eight-point table, and connected walks memoize the best residual of
+each state on its canonical code.
 """
 
 from __future__ import annotations
@@ -181,7 +184,7 @@ def _scan(
 
     The walk runs on `_walk`'s state and places pairs through `_children`.
 
-    Every level of the walk counts as a node against node_budget, and a
+    Every state of the walk counts as a node against node_budget, and a
     subtree is pruned when even its best completion falls short of best.
     With r pairs to go, color c's path ends pair the 2r free vertices by a
     matching b_c.  d(a, b) = r - cyc(a u b) is a metric on such matchings,
@@ -235,11 +238,39 @@ def _scan(
     exact); on G u G, the connected bound at the root alone rules out any
     target above 2 * (D - 1) * n - D + 2.
 
-    The last two levels are scored in closed form by `_last_two`, without
-    splicing or recursing.  Each completion still counts as two nodes, its
-    pair (u, v) and its last pair, with the budget and prune checks a walk
-    down to every leaf would make, so truncated reports do not depend on
-    how the bottom is scored.
+    A state that passes the bounds with 4 pairs to go, once every set is
+    joined (live == 1) and while 3 * D < 256, is scored whole from
+    `_EIGHT_ROWS`, as in `_histogram`: byte j of its row sum is F(P_j) - D
+    for the j-th completion P_j, and the table lists the completions in
+    the walk's own lexicographic order.  So the state's best completion
+    closes closed + D + t faces for the largest byte t, t occurs once per
+    optimal completion, and its first index is the least of them; a
+    decision search takes the first byte reaching target - closed - D.
+    The read costs one node besides the state's own, checked against the
+    budget before it is made.  The last two levels, where the walk reaches
+    them, are scored in closed form by `_last_two`: each completion counts
+    as two nodes, its pair (u, v) and its last pair, with the budget and
+    prune checks a walk to every leaf would make.
+
+    Connected walks of q > 1 components reach the same boundary state over
+    and over, so their states with 4 to 127 pairs to go that are not
+    scored from the table are memoized for the call on `_boundary_code`,
+    the isomorphism class of B with its components grouped by union-find
+    set.  A state whose code is None has a set that can never be joined,
+    and is pruned.  An entry, stored once the subtree is walked, is (m, c)
+    if the subtree counted leaves, c of them at its largest residual m:
+    best started at or below closed + m and never passed it, no bound
+    prunes a tie, so no completion closes more than m further faces and
+    every one closing m was counted.  It is (b, 0) if the subtree counted
+    none: then every completion closes at most b = best - closed - 1.
+    Nothing is stored where the budget ran out inside the subtree.  On a
+    hit, at one node in all, the state is pruned when closed + m (or b)
+    falls short of best; an exact entry at best adds c to the top bin once
+    there is a witness.  Otherwise the subtree is walked again, as the
+    least witness depends on labels the code forgets.
+
+    Truncated reports depend on how the walk is scored as well as bounded:
+    a table read or a memo hit stands for a whole subtree at one node.
     """
     D = G.D
     two_n = 2 * G.n
@@ -262,6 +293,11 @@ def _scan(
     ring = [(bnd[c], bnd[c - 1]) for c in range(D)]
     seen = [0] * two_n  # seen[x] == stamp marks x as on a counted cycle
     stamp = 0
+    table = 3 * D < 256  # the eight-point row sums fit a byte
+    rank = [0] * two_n
+    keyed = connected_only and q > 1
+    # (m, c) or (b, 0) for each walked state on its boundary code
+    memo: dict[bytes, tuple[int, int]] = {}
 
     def ring_cycles(cap: int) -> int:
         """F_ring of the free vertices, or cap once it is sure to reach it.
@@ -370,6 +406,16 @@ def _scan(
         par[:] = range(q)
         return faces, pairs
 
+    def pairing() -> list[tuple[int, int]]:
+        # the pairing in mate, where each pair is set at its lesser vertex
+        paired = [False] * two_n
+        pairs = []
+        for w in range(two_n):
+            if not paired[w]:
+                paired[mate[w]] = True
+                pairs.append((w, mate[w]))
+        return pairs
+
     if decide:
         best = target
     else:
@@ -390,6 +436,36 @@ def _scan(
             if need > live and (need > remaining or boundary_components(need) < need):
                 return
         if room > D and remaining > 2 and ring_cycles(room) < room:
+            return
+        if remaining == 4 and live == 1 and table:
+            nodes += 1
+            if nodes > node_budget:
+                exact = False
+                return
+            rows, free = _eight_rows(bnd, nxt, u, rank)
+            fields = rows.to_bytes(105, "little")
+            t = max(fields)
+            f = closed + D + t
+            if f < best:
+                return
+            if decide:
+                t = best - closed - D
+                j = 0
+                while fields[j] < t:
+                    j += 1
+                f = closed + D + fields[j]
+            else:
+                counts[f] = counts.get(f, 0) + fields.count(t)
+                if f == best and witness is not None:
+                    return
+                j = fields.index(t)
+            best = f
+            for y, z in _EIGHT_ROWS.matchings[j]:
+                mate[free[y]] = free[z]
+            witness = pairing()
+            if decide:
+                counts[f] = 1
+                raise _Hit
             return
         if remaining == 2:
             # Each completion stands for the child node and its leaf, counted
@@ -422,23 +498,44 @@ def _scan(
                     mate[u] = v
                     y, z = [w for w in (a, b, c) if w != v]
                     mate[y] = z
-                    witness = []
-                    paired = [False] * two_n
-                    for w in range(two_n):
-                        if not paired[w]:
-                            paired[mate[w]] = True
-                            witness.append((w, mate[w]))
+                    witness = pairing()
                     if decide:
                         raise _Hit
             return
+        key = None
+        if keyed and 4 <= remaining <= 127:
+            free = []
+            x = u
+            while x != S:
+                free.append(x)
+                x = nxt[x]
+            key = _boundary_code(bnd, free, par, comp_ids, live)
+            if key is None:
+                return
+            entry = memo.get(key)
+            if entry is not None:
+                m, c = entry
+                if closed + m < best:
+                    return
+                if c and closed + m == best and witness is not None:
+                    counts[best] += c
+                    return
+            best0 = best
+            c0 = counts.get(best, 0)
         for v, dclosed, lv in _children(bnd, nxt, prv, par, comp_ids, u, live):
             mate[u] = v
             rec(remaining - 1, closed + dclosed, lv)
+        if key is not None and exact:
+            c = counts.get(best, 0)
+            if best == best0:
+                c -= c0
+            memo[key] = (best - closed, c) if c else (best - closed - 1, 0)
 
     try:
         rec(two_n // 2, 0, q if connected_only else 1)
     except _Hit:
         pass
+    del rec  # rec refers to itself: free the memo now, not at the next gc
     if witness is None and not decide:
         # truncated before any leaf reached the incumbent
         return {best: 1}, incumbent, False
@@ -446,7 +543,11 @@ def _scan(
 
 
 def _pairings(points: tuple) -> list[frozenset]:
-    """Every perfect matching of points, each a frozenset of pairs."""
+    """Every perfect matching of points, each a frozenset of pairs.
+
+    They come in lexicographic order, as the walks place pairs: by the
+    partner of the first point, then of the first point left, and so on.
+    """
     if not points:
         return [frozenset()]
     u = points[0]
@@ -525,6 +626,41 @@ class _Rows(dict):
 # shares them, as a row depends on its code alone
 _SIX_ROWS = _Rows(3)
 _EIGHT_ROWS = _Rows(4)
+
+
+def _eight_rows(
+    bnd: Sequence[list[int]], nxt: list[int], u: int, rank: list[int]
+) -> tuple[int, tuple[int, ...]]:
+    """The sum of the colors' `_EIGHT_ROWS` rows at a state with 4 pairs to go.
+
+    u is the least free vertex and nxt the free list (see `_walk`).  The
+    eight free vertices are ranked 0..7 in list order, in the scratch array
+    rank; color c's path ends pair them by a matching B_c, whose row is
+    looked up by the ranks of the partners of the first five.  Returns the
+    sum and the eight vertices in rank order.
+    """
+    a = nxt[u]
+    b = nxt[a]
+    c = nxt[b]
+    d = nxt[c]
+    e = nxt[d]
+    f = nxt[e]
+    h = nxt[f]
+    rank[u] = 0
+    rank[a] = 1
+    rank[b] = 2
+    rank[c] = 3
+    rank[d] = 4
+    rank[e] = 5
+    rank[f] = 6
+    rank[h] = 7
+    rows = 0
+    for bc in bnd:
+        rows += _EIGHT_ROWS[
+            4096 * rank[bc[u]] + 512 * rank[bc[a]] + 64 * rank[bc[b]]
+            + 8 * rank[bc[c]] + rank[bc[d]]
+        ]
+    return rows, (u, a, b, c, d, e, f, h)
 
 
 def _boundary_code(
@@ -689,28 +825,7 @@ def _histogram(G: ColoredGraph, connected_only: bool) -> tuple[dict[int, int], i
                     h += x_to[f]
             return h
         if live == 1 and remaining == 4 and 3 * D < 256:
-            # rank the eight free vertices and sum the colors' table rows
-            a = nxt[u]
-            b = nxt[a]
-            c = nxt[b]
-            d = nxt[c]
-            e = nxt[d]
-            f = nxt[e]
-            rank[u] = 0
-            rank[a] = 1
-            rank[b] = 2
-            rank[c] = 3
-            rank[d] = 4
-            rank[e] = 5
-            rank[f] = 6
-            rank[nxt[f]] = 7
-            rows = 0
-            for bc in bnd:
-                rows += _EIGHT_ROWS[
-                    4096 * rank[bc[u]] + 512 * rank[bc[a]] + 64 * rank[bc[b]]
-                    + 8 * rank[bc[c]] + rank[bc[d]]
-                ]
-            return _EIGHT_ROWS.residual(rows, D, k)
+            return _EIGHT_ROWS.residual(_eight_rows(bnd, nxt, u, rank)[0], D, k)
         if live == 1 and remaining == 3 and 2 * D < 256:
             # likewise with six
             a = nxt[u]
@@ -820,6 +935,16 @@ def enumerate_histogram(
     return FaceHistogram(counts, connected_only, G.n, G.D, states)
 
 
+def _rational(x) -> Fraction:
+    """x as a Fraction; a float by its shortest decimal, so 0.1 is 1/10.
+
+    Fraction(0.1) is the float's exact binary value, 3602879701896397/2**55,
+    not the number it was written as.  The CLI's `_parse_nu` reads the
+    decimal text the same way.
+    """
+    return Fraction(repr(x)) if isinstance(x, float) else Fraction(x)
+
+
 class ExpectationPoly:
     """Integer-coefficient Laurent polynomial in N with exact exponents.
 
@@ -831,13 +956,13 @@ class ExpectationPoly:
     __slots__ = ("nu", "n", "terms")
 
     def __init__(self, nu, n: int, terms: dict):
-        object.__setattr__(self, "nu", Fraction(nu))
+        object.__setattr__(self, "nu", _rational(nu))
         object.__setattr__(self, "n", _integral(n))
         clean = {}
         for e, c in terms.items():
             c = _integral(c)
             if c:
-                clean[Fraction(e)] = c
+                clean[_rational(e)] = c
         object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, name, value):
@@ -845,7 +970,7 @@ class ExpectationPoly:
 
     @classmethod
     def from_histogram(cls, hist: FaceHistogram, nu) -> "ExpectationPoly":
-        nu = Fraction(nu)
+        nu = _rational(nu)
         shift = nu * hist.n
         return cls(nu, hist.n, {Fraction(F) - shift: c for F, c in hist.counts.items()})
 
@@ -937,7 +1062,7 @@ class ExpectationPoly:
 
 
 def _default_nu(G: ColoredGraph, nu) -> Fraction:
-    return Fraction(G.D - 1) if nu is None else Fraction(nu)
+    return Fraction(G.D - 1) if nu is None else _rational(nu)
 
 
 def expectation_poly(
@@ -999,8 +1124,8 @@ def max_scaling(
 
     Works past the histogram budget thanks to pruning.  The least exact
     node_budget of random_colored_graph(3, 16, s) for s = 0, 1, 2, 3 is
-    155,182, 3,920, 30,986 and 4,771 nodes, and of random_colored_graph(4,
-    12, s) 46,573, 20,009, 59,748 and 63,301; those searches take 0.02-1.1
+    136,504, 3,521, 29,045 and 3,826 nodes, and of random_colored_graph(4,
+    12, s) 41,729, 19,119, 57,243 and 60,939; those searches take 0.02-0.8
     s (CPU time, one core of a shared 2-core x86 host, Python 3.11).  A
     search cut by node_budget (at least 1) reports exact=False
     with the best pairings it reached, or else the greedy incumbent it

@@ -261,6 +261,98 @@ def least_relabeling(G: ColoredGraph) -> tuple:
     return min(relabelings(G))
 
 
+def component_of(G: ColoredGraph) -> list[int]:
+    """Each vertex's component of G, numbered by least vertex, via union-find."""
+    two_n = 2 * G.n
+    parent = list(range(two_n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for m in G.matchings:
+        for u, v in m.pairs:
+            parent[find(u)] = find(v)
+    roots = sorted({find(x) for x in range(two_n)})
+    return [roots.index(find(x)) for x in range(two_n)]
+
+
+def boundary_matchings(G: ColoredGraph, mate: dict, free) -> list[dict]:
+    """Each color's boundary matching of the free vertices under the partial
+    pairing mate, found by walking the alternating path from every free
+    vertex until it meets a free one."""
+    bnd = []
+    for m in G.matchings:
+        partner = m.partner_array()
+        b = {}
+        for x in free:
+            y = partner[x]
+            while y not in free:
+                y = partner[mate[y]]
+            b[x] = y
+        bnd.append(b)
+    return bnd
+
+
+def grouped_code(bnd: list[dict], free, group_of) -> tuple:
+    """A canonical form of the boundary graph on the free vertices, its
+    components grouped by group_of: a depth-first code minimized over every
+    root of each component, sorted within each group, groups sorted.
+    Equal forms mean isomorphic grouped boundary graphs, colors in order."""
+
+    def code(root):
+        label = {root: 0}
+        order = [root]
+
+        def visit(x):
+            for b in bnd:
+                if b[x] not in label:
+                    label[b[x]] = len(order)
+                    order.append(b[x])
+                    visit(b[x])
+
+        visit(root)
+        return tuple(tuple(label[b[x]] for b in bnd) for x in order)
+
+    groups = {}
+    done = set()
+    for x in sorted(free):
+        if x in done:
+            continue
+        members = {x}
+        stack = [x]
+        while stack:
+            y = stack.pop()
+            for b in bnd:
+                if b[y] not in members:
+                    members.add(b[y])
+                    stack.append(b[y])
+        done |= members
+        groups.setdefault(group_of(x), []).append(min(code(y) for y in members))
+    return tuple(sorted(tuple(sorted(g)) for g in groups.values()))
+
+
+def joined_sets(comp: list[int], q: int, mate: dict):
+    """(live, top): the union-find over G's q components once the pairs of
+    mate join them, as the number of sets and the root of a component.
+    With q = 1 every component counts as one set."""
+    if q == 1:
+        return 1, lambda c: 0
+    up = list(range(q))
+
+    def top(c):
+        while up[c] != c:
+            c = up[c]
+        return c
+
+    for u, v in mate.items():
+        a, b = top(comp[u]), top(comp[v])
+        if a != b:
+            up[a] = b
+    return len({top(c) for c in range(q)}), top
+
+
 def memo_state_count(G: ColoredGraph, connected_only: bool = False) -> int:
     """Entries of `wick._histogram`'s memo, its canonical codes.
 
@@ -276,86 +368,19 @@ def memo_state_count(G: ColoredGraph, connected_only: bool = False) -> int:
     or fewer is stored.
     """
     D, two_n = G.D, 2 * G.n
-    partners = G.partner_arrays()
-    comp = [0] * two_n
-    parent = list(range(two_n))
-
-    def find(x):
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    for m in G.matchings:
-        for u, v in m.pairs:
-            parent[find(u)] = find(v)
-    roots = sorted({find(x) for x in range(two_n)})
-    for x in range(two_n):
-        comp[x] = roots.index(find(x))
-    q = len(roots) if connected_only else 1
+    comp = component_of(G)
+    q = max(comp) + 1 if connected_only else 1
     canonical = set()
-
-    def boundary(mate, free):
-        bnd = []
-        for c in range(D):
-            b = {}
-            for x in free:
-                y = partners[c][x]
-                while y not in free:
-                    y = partners[c][mate[y]]
-                b[x] = y
-            bnd.append(b)
-        return bnd
-
-    def code(bnd, root):
-        label = {root: 0}
-        order = [root]
-
-        def visit(x):
-            for b in bnd:
-                if b[x] not in label:
-                    label[b[x]] = len(order)
-                    order.append(b[x])
-                    visit(b[x])
-
-        visit(root)
-        return tuple(tuple(label[b[x]] for b in bnd) for x in order)
 
     def rec(mate, free):
         r = len(free) // 2
-        up = list(range(q))
-
-        def top(c):
-            while up[c] != c:
-                c = up[c]
-            return c
-
-        if q > 1:
-            for u, v in mate.items():
-                up[top(comp[u])] = top(comp[v])
-        live = len({top(c) for c in range(q)})
+        live, top = joined_sets(comp, q, mate)
         if r < 4 or r == 4 and live == 1 and 3 * D < 256:
             return
         if r > 4 or live > 1:
-            bnd = boundary(mate, free)
-            groups = {}
-            done = set()
-            for x in sorted(free):
-                if x in done:
-                    continue
-                members = {x}
-                stack = [x]
-                while stack:
-                    y = stack.pop()
-                    for b in bnd:
-                        if b[y] not in members:
-                            members.add(b[y])
-                            stack.append(b[y])
-                done |= members
-                least = min(code(bnd, y) for y in members)
-                groups.setdefault(top(comp[x]) if live > 1 else 0, []).append(least)
-            if len(groups) < live:
+            key = grouped_code(boundary_matchings(G, mate, free), free, lambda x: top(comp[x]))
+            if len(key) < live:
                 return  # a set that can no longer be joined
-            key = tuple(sorted(tuple(sorted(g)) for g in groups.values()))
             if key in canonical:
                 return
             canonical.add(key)
@@ -365,3 +390,196 @@ def memo_state_count(G: ColoredGraph, connected_only: bool = False) -> int:
 
     rec({}, frozenset(range(two_n)))
     return len(canonical)
+
+
+def ring_cycles(bnd: list[dict], free) -> int:
+    """F_ring: the cycles of each ring pair of boundary matchings (color c
+    and c - 1), summed over the D pairs, counted by union-find."""
+    total = 0
+    for c in range(len(bnd)):
+        pairs = [(x, bnd[c][x]) for x in free] + [(x, bnd[c - 1][x]) for x in free]
+        total += len(free) - sum(1 for _ in _merges(pairs, free))
+    return total
+
+
+def boundary_component_count(bnd: list[dict], free) -> int:
+    """q_B: the components of the boundary graph, by union-find."""
+    pairs = [(x, b[x]) for b in bnd for x in free]
+    return len(free) - sum(1 for _ in _merges(pairs, free))
+
+
+def _merges(pairs, vertices):
+    parent = {x: x for x in vertices}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for u, v in pairs:
+        a, b = find(u), find(v)
+        if a != b:
+            parent[a] = b
+            yield a
+
+
+def reference_descent(G: ColoredGraph, connected_only: bool) -> list:
+    """The greedy incumbent of `wick._scan`, recomputed from scratch.
+
+    Pairs the least free vertex u with the partner closing the most faces
+    (the colors whose boundary path from u ends there), among ties the one
+    leaving the most ring cycles, then the least; while components are
+    apart, only with partners in another union-find set.
+    """
+    comp = component_of(G)
+    q = max(comp) + 1 if connected_only else 1
+    mate, free = {}, frozenset(range(2 * G.n))
+    while free:
+        u = min(free)
+        bnd = boundary_matchings(G, mate, free)
+        live, top = joined_sets(comp, q, mate)
+        options = [v for v in sorted(free - {u}) if live == 1 or top(comp[v]) != top(comp[u])]
+
+        def rank(v):
+            closes = sum(b[u] == v for b in bnd)
+            rest = free - {u, v}
+            after = ring_cycles(boundary_matchings(G, {**mate, u: v, v: u}, rest), rest)
+            return closes, after, -v
+
+        v = max(options, key=rank)
+        mate = {**mate, u: v, v: u}
+        free = free - {u, v}
+    return sorted((u, v) for u, v in mate.items() if u < v)
+
+
+def reference_scan(G: ColoredGraph, connected_only: bool, node_budget: int, target=None):
+    """`wick._scan` by plain recursion, with its documented node accounting.
+
+    Returns (counts, witness, exact, nodes).  At every state the faces
+    closed, the boundary matchings, F_ring, q_B and the joins are
+    recomputed from scratch by path walks and union-find; a table state
+    (4 pairs to go, all joined, 3 * D < 256) scores each of its 105
+    completions by `faces_of`, and a connected walk keys its states with 4
+    or more pairs to go by `grouped_code`.  Costs: one node per state, one
+    more for a table read (checked against the budget before it), a memo
+    hit one node, and at 2 pairs to go two nodes per completion, the
+    second only for completions not below best.
+    """
+    D, n = G.D, G.n
+    comp = component_of(G)
+    q = max(comp) + 1 if connected_only else 1
+    decide = target is not None
+    counts = {}
+    memo = {}
+    state = {"nodes": 0, "exact": True, "witness": None}
+    if decide:
+        state["best"] = target
+    else:
+        incumbent = reference_descent(G, connected_only)
+        state["best"] = faces_of(G, incumbent)
+
+    class Hit(Exception):
+        pass
+
+    def spend():
+        state["nodes"] += 1
+        if state["nodes"] > node_budget:
+            state["exact"] = False
+            return False
+        return True
+
+    def count(pairs, f):
+        # a counted leaf: f is at least best
+        counts[f] = counts.get(f, 0) + 1
+        if f > state["best"] or state["witness"] is None:
+            state["best"] = f
+            state["witness"] = sorted(pairs)
+            if decide:
+                raise Hit
+
+    def rec(mate, free):
+        if not state["exact"] or not spend():
+            return
+        r = len(free) // 2
+        best = state["best"]
+        prefix = [(u, v) for u, v in mate.items() if u < v]
+        closed = closed_faces(G, prefix)
+        live, top = joined_sets(comp, q, mate)
+        bnd = boundary_matchings(G, mate, free)
+        room = 2 * (best - closed) - D * r
+        if room > D * r or r > 2 and room > ring_cycles(bnd, free):
+            return
+        need = best - closed - (D - 1) * r + D * (live - 1)
+        if live > 1 and need > live and boundary_component_count(bnd, free) < need:
+            return
+        if r == 0:  # n = 1: the root's one child is the leaf
+            count(prefix, closed)
+            return
+        if r == 4 and live == 1 and 3 * D < 256:
+            if not spend():
+                return
+            scored = [(faces_of(G, prefix + tail), tail) for tail in _completions(free)]
+            top_f = max(f for f, _ in scored)
+            if top_f < best:
+                return
+            if decide:
+                f, tail = next((f, t) for f, t in scored if f >= best)
+                counts[f] = 1
+                state["witness"] = sorted(prefix + tail)
+                raise Hit
+            counts[top_f] = counts.get(top_f, 0) + sum(f == top_f for f, _ in scored)
+            if top_f > best or state["witness"] is None:
+                state["best"] = top_f
+                state["witness"] = sorted(prefix + next(t for f, t in scored if f == top_f))
+            return
+        if r == 2:
+            u = min(free)
+            for v in sorted(free - {u}):
+                y, z = sorted(free - {u, v})
+                pairs = prefix + [(u, v), (y, z)]
+                f = faces_of(G, pairs)
+                if not spend():
+                    return
+                if f < state["best"]:
+                    continue
+                if not spend():
+                    return
+                if connected_only and not joined_connected(G, pairs):
+                    continue
+                count(pairs, f)
+            return
+        key = None
+        if q > 1 and 4 <= r <= 127:
+            key = grouped_code(bnd, free, lambda x: top(comp[x]))
+            if len(key) < live:
+                return
+            if key in memo:
+                m, c = memo[key]
+                if closed + m < best:
+                    return
+                if c and closed + m == best and state["witness"] is not None:
+                    counts[best] += c
+                    return
+            before = counts.get(best, 0)
+        u = min(free)
+        for v in sorted(free - {u}):
+            rec({**mate, u: v, v: u}, free - {u, v})
+        if key is not None and state["exact"]:
+            now = state["best"]
+            c = counts.get(now, 0) - (before if now == best else 0)
+            memo[key] = (now - closed, c) if c else (now - closed - 1, 0)
+
+    try:
+        rec({}, frozenset(range(2 * n)))
+    except Hit:
+        pass
+    if state["witness"] is None and not decide:
+        return {state["best"]: 1}, incumbent, False, state["nodes"]
+    return counts, state["witness"], state["exact"], state["nodes"]
+
+
+def _completions(free):
+    """The perfect matchings of the free vertices in lexicographic order."""
+    points = sorted(free)
+    for m in all_matchings(len(points)):
+        yield [(points[a], points[b]) for a, b in m]

@@ -54,6 +54,7 @@ from helpers import (
     memo_state_count,
     pieces,
     random_connected_graph,
+    reference_scan,
     relabelings,
     spec_quartic_melon,
     two_color_cycle,
@@ -166,6 +167,9 @@ def check_table_rows(r):
     rows = _Rows(r)
     m = 2 * r
     assert len(rows.matchings) == len(set(rows.matchings)) == count_matchings(r)
+    # in the walks' lexicographic order, which the search's least witness
+    # relies on
+    assert [sorted(P) for P in rows.matchings] == list(all_matchings(m))
     for Q in all_matchings(m):
         mate = dict(Q) | {v: u for u, v in Q}
         code = 0
@@ -557,11 +561,12 @@ def test_parallel_equals_sequential():
     par = max_scaling(g, connected_only=True, threads=3).to_json_dict()
     assert json.dumps(seq, sort_keys=True) == json.dumps(par, sort_keys=True)
     # also when the node budget binds and the report is only a lower bound
-    # (the search finishes at 91 nodes; the incumbent is optimal here)
+    # (the search finishes at 76 nodes, as `helpers.reference_scan` counts
+    # them; the incumbent is optimal here)
     g = random_colored_graph(3, 8, seed=2)
     for budget, F_max, num_optimal, witness in (
         (1, 14, 1, [(0, 6), (1, 4), (2, 13), (3, 8), (5, 14), (7, 10), (9, 15), (11, 12)]),
-        (90, 14, 1, [(0, 6), (1, 4), (2, 13), (3, 8), (5, 14), (7, 10), (9, 15), (11, 12)]),
+        (75, 14, 1, [(0, 6), (1, 4), (2, 13), (3, 8), (5, 14), (7, 10), (9, 15), (11, 12)]),
     ):
         seq = max_scaling(g, threads=1, node_budget=budget)
         par = max_scaling(g, threads=2, node_budget=budget)
@@ -571,15 +576,17 @@ def test_parallel_equals_sequential():
         assert seq.witness == Matching(witness, 16)
 
 
-# (budget, (F_max, num_optimal, exact, witness)): a walk that reached no
-# leaf at or above the incumbent returns the incumbent, the dive's pairing
-# (optimal in both tables, but for the union not the least of its 24
-# optima, WU)
+# (budget, (F_max, num_optimal, exact, witness)), each row where the report
+# of `helpers.reference_scan` changes and the budget before the walk ends:
+# a walk that reached no leaf at or above the incumbent returns the
+# incumbent, the dive's pairing (optimal in both tables, but for the union
+# not the least of its 24 optima, WU).  The single graph's states with 4
+# pairs to go are scored from the eight-point table, two nodes each.
 W10 = [(0, 4), (1, 2), (3, 5), (6, 9), (7, 8)]
-TRUNCATED_SINGLE = [(b, (10, 1, False, W10)) for b in range(1, 30)] + [
-    (30, (10, 2, False, W10)),
-    (47, (10, 2, False, W10)),
-    (48, (10, 2, True, W10)),
+TRUNCATED_SINGLE = [(b, (10, 1, False, W10)) for b in range(1, 8)] + [
+    (8, (10, 2, False, W10)),
+    (11, (10, 2, False, W10)),
+    (12, (10, 2, True, W10)),
     (100, (10, 2, True, W10)),
 ]
 DIVE = [(0, 4), (1, 3), (2, 5), (6, 7)]
@@ -595,8 +602,9 @@ TRUNCATED_UNION = [(b, (6, 1, False, DIVE)) for b in range(1, 13)] + [
 
 
 def test_truncated_reports_inside_the_last_two_levels():
-    # small budgets stop the walk among the closed-form completions; node
-    # counts, budget checks and prunes there must match a walk to every leaf
+    # small budgets stop the walk at table reads and among the closed-form
+    # completions; node counts, budget checks and prunes there must follow
+    # the documented accounting
     union = disjoint_union(random_colored_graph(3, 2, 1), random_colored_graph(3, 2, 2))
     for g, connected_only, table in (
         (random_colored_graph(3, 5, 1), False, TRUNCATED_SINGLE),
@@ -691,35 +699,201 @@ def test_decision_search_meets_its_target(D, sizes, seed, connected_only, offset
     assert faces_of(g, hit) == F
     if connected_only:
         assert joined_connected(g, hit)
+    # the walk is in lexicographic order, so the hit is the first pairing
+    # reaching the target
+    assert hit == next(
+        m
+        for m in all_matchings(2 * g.n)
+        if faces_of(g, m) >= target and (not connected_only or joined_connected(g, m))
+    )
+
+
+# unions of two to four parts and G u G, total n 4-6: their connected walks
+# memoize states with 4 or more pairs to go and score joined ones with 4
+# from the eight-point table; single graphs of n 4-6 reach the table
+# unconnected
+memo_sizes = st.sampled_from(
+    [(4,), (5,), (6,), (1, 3), (2, 2), (2, 3), (1, 4), (3, 3), (2, 4), (1, 5), (1, 1, 2), (1, 2, 2),
+     (1, 1, 3), (1, 2, 3), (2, 2, 2), (1, 1, 1, 1), (1, 1, 1, 2), (1, 1, 1, 3), (1, 1, 2, 2),
+     "GuG2", "GuG3"]
+)
+
+
+def memo_graph(D, sizes, seed):
+    if isinstance(sizes, str):
+        g = random_colored_graph(D, int(sizes[-1]), seed)
+        return disjoint_union(g, g)
+    return graph_of_parts(D, sizes, seed)
+
+
+@given(st.integers(1, 8), memo_sizes, st.integers(0, 10**6), st.booleans(), st.integers(-2, 1))
+@settings(max_examples=60, deadline=None)
+def test_memo_and_table_match_brute_force(D, sizes, seed, connected_only, offset):
+    # F_max, num_optimal and the least witness of the search, and the hit of
+    # the decision search, against every pairing in lexicographic order
+    g = memo_graph(D, sizes, seed)
+    scored = [
+        (m, faces_of(g, m))
+        for m in all_matchings(2 * g.n)
+        if not connected_only or joined_connected(g, m)
+    ]
+    top = max(f for _, f in scored)
+    rep = max_scaling(g, connected_only=connected_only)
+    assert rep.exact and (rep.F_max, rep.num_optimal) == (top, sum(f == top for _, f in scored))
+    assert list(rep.witness.pairs) == next(m for m, f in scored if f == top)
+    target = top + offset
+    counts, hit, exact = _scan(g, connected_only, DEFAULT_NODE_BUDGET, target)
+    first = next(((m, f) for m, f in scored if f >= target), None)
+    assert exact and (counts, hit) == (({}, None) if first is None else ({first[1]: 1}, first[0]))
+
+
+# (graph, connected_only, target): single graphs reach the table at their
+# root and below it, unions the memo, the last two levels and the table
+# below their last join, and G u G the decision search's memo, with a hit
+# (targets 11 and 12, the maxima) and without one (13)
+REFERENCE_CASES = [
+    (random_colored_graph(3, 4, 1), False, None),
+    (random_colored_graph(4, 5, 2), False, None),
+    (random_colored_graph(1, 5, 3), False, None),
+    (graph_of_parts(3, (1, 3), 4), True, None),
+    (graph_of_parts(2, (2, 3), 5), True, None),
+    (graph_of_parts(4, (1, 1, 2), 6), True, None),
+    (graph_of_parts(3, (2, 2, 1), 7), True, None),
+    (disjoint_union(random_colored_graph(1, 3, 1), random_colored_graph(1, 3, 2)), True, None),
+    (disjoint_union(random_connected_graph(3, 3, 1), random_connected_graph(3, 3, 1)), True, 11),
+    (disjoint_union(random_connected_graph(4, 3, 2), random_connected_graph(4, 3, 2)), True, 12),
+    (disjoint_union(random_connected_graph(4, 3, 2), random_connected_graph(4, 3, 2)), True, 13),
+]
+
+
+@pytest.mark.parametrize("g, connected_only, target", REFERENCE_CASES)
+def test_scan_follows_the_reference_walk(g, connected_only, target):
+    # at every budget up to one past the end of the walk, the search agrees
+    # with an independent walk that spends nodes as the `_scan` docstring
+    # says: counts, witness and exact, so truncated reports too
+    least = reference_scan(g, connected_only, DEFAULT_NODE_BUDGET, target)[3]
+    for budget in range(1, least + 2):
+        expected = reference_scan(g, connected_only, budget, target)
+        assert _scan(g, connected_only, budget, target) == expected[:3]
+        assert expected[2] == (budget >= least)
+
+
+def residual_of(state):
+    """(m, c) of a boundary state by brute force: the most faces a joined
+    completion closes and how many do, or (None, 0) if none joins."""
+    ends, group = state
+    two_r = len(group)
+    m, c = None, 0
+    for P in all_matchings(two_r):
+        up = {g: g for g in group}
+        for x, y in P:
+            a, b = group[x], group[y]
+            while up[a] != a:
+                a = up[a]
+            while up[b] != b:
+                b = up[b]
+            up[a] = b
+        if sum(up[g] == g for g in up) > 1:
+            continue
+        f = sum(dsu_cycle_count(P, pairs, two_r) for pairs in ends)
+        if m is None or f > m:
+            m, c = f, 0
+        c += f == m
+    return m, c
+
+
+@pytest.mark.parametrize(
+    "g, target",
+    [
+        (graph_of_parts(3, (2, 3), 5), None),
+        (graph_of_parts(2, (1, 2, 2), 3), None),
+        (disjoint_union(random_colored_graph(1, 3, 1), random_colored_graph(1, 3, 2)), None),
+        (disjoint_union(random_connected_graph(3, 3, 1), random_connected_graph(3, 3, 1)), None),
+        (disjoint_union(random_connected_graph(4, 3, 2), random_connected_graph(4, 3, 2)), 12),
+        (disjoint_union(random_connected_graph(4, 3, 2), random_connected_graph(4, 3, 2)), 13),
+    ],
+)
+def test_memo_entries_are_true_at_every_budget(monkeypatch, g, target):
+    # whatever budget cuts the connected search, every entry its memo holds
+    # at return is true of its state: (m, c) its best residual and the
+    # number of joined completions closing it, (b, 0) a bound on it
+    states = {}  # the grouped boundary of one state of each code
+    memos = []
+
+    def spy(bnd, free, par, comp_ids, live):
+        code = _boundary_code(bnd, free, par, comp_ids, live)
+        if code is not None and code not in states:
+            at = {x: i for i, x in enumerate(free)}
+            ends = [[(at[x], at[b[x]]) for x in free if x < b[x]] for b in bnd]
+            group = []
+            for x in free:
+                s = comp_ids[x]
+                while par[s] != s:
+                    s = par[s]
+                group.append(s)
+            states[code] = (ends, group)
+        frame_memo = sys._getframe(1).f_locals["memo"]
+        if not memos or memos[-1] is not frame_memo:
+            memos.append(frame_memo)
+        return code
+
+    monkeypatch.setattr("tensorwick.wick._boundary_code", spy)
+    truth = {}
+    least = None
+    for budget in range(1, 2000):
+        memos.clear()
+        exact = _scan(g, True, budget, target)[2]
+        assert len(memos) == 1
+        for code, (m, c) in memos[0].items():
+            if code not in truth:
+                truth[code] = residual_of(states[code])
+            top, ways = truth[code]
+            if c:
+                assert (m, c) == (top, ways)
+            else:
+                assert top is None or m >= top
+        if exact:
+            least = budget
+            break
+    assert least is not None and truth
 
 
 def test_node_counts_of_the_bounded_search():
-    # the least budget at which each search finishes: a weaker bound raises
-    # these, so a pruning regression fails here while timing noise does not
-    # (the bound closed + D * remaining needed 1,408,169 nodes for the first,
-    # the ring bound without an incumbent 2,162)
+    # the least budget at which each search finishes, as
+    # `helpers.reference_scan` counts it: a weaker bound or a lost memo hit
+    # raises these, so a pruning regression fails here while timing noise
+    # does not (the bound closed + D * remaining needed 1,408,169 nodes for
+    # the first, the ring bound without an incumbent 2,162, and the walk
+    # without the eight-point table 240)
     for D, n, seed, least in (
-        (3, 10, 2, 240),
-        (4, 10, 1, 25655),
-        (8, 7, 1, 16732),
-        (12, 7, 1, 13713),
+        (3, 10, 2, 195),
+        (4, 10, 1, 23468),
+        (8, 7, 1, 2093),
+        (12, 7, 1, 2364),
     ):
         g = random_colored_graph(D, n, seed)
         assert max_scaling(g, node_budget=least).exact
         assert not max_scaling(g, node_budget=least - 1).exact
-    # connected searches: the ring bound alone needed 70,082 nodes for G u G
-    # and 6,426 for the verdict, whose single search now needs the most
+    # connected searches, memoized on boundary states: without the memo
+    # G u G needed 16,297 nodes and the verdict 175, of which its decision
+    # search 144
     g = random_connected_graph(3, 5, seed=0)
     union = disjoint_union(g, g)
-    assert max_scaling(union, True, node_budget=16297).exact
-    assert not max_scaling(union, True, node_budget=16296).exact
+    assert max_scaling(union, True, node_budget=1167).exact
+    assert not max_scaling(union, True, node_budget=1166).exact
     g = random_connected_graph(3, 6, seed=2)
-    assert factorization_verdict(g, node_budget=175).factorizes
+    assert factorization_verdict(g, node_budget=64).factorizes
     with pytest.raises(BudgetExceeded):
-        factorization_verdict(g, node_budget=174)
+        factorization_verdict(g, node_budget=63)
     union, target = disjoint_union(g, g), 2 * max_scaling(g).F_max
-    assert _scan(union, True, 144, target) == ({}, None, True)
-    assert not _scan(union, True, 143, target)[2]
+    assert _scan(union, True, 64, target) == ({}, None, True)
+    assert not _scan(union, True, 63, target)[2]
+    # every connected D = 1 pairing closes one face, so all of them tie and
+    # none may be pruned: 3,840 optima, 25,059 nodes without the memo
+    union = disjoint_union(random_colored_graph(1, 3, 1), random_colored_graph(1, 3, 2))
+    rep = max_scaling(union, True, node_budget=273)
+    assert rep.exact and (rep.F_max, rep.num_optimal) == (1, 3840)
+    assert not max_scaling(union, True, node_budget=272).exact
 
 
 def test_max_scaling_beyond_histogram_cap():
@@ -739,9 +913,20 @@ def test_fractional_nu_exponents():
     assert abs(poly.evaluate(4.0) - 8.0) < 1e-12
 
 
+def test_float_nu_is_read_as_its_decimal():
+    # 0.1 stands for 1/10, as the CLI reads "--nu 0.1", not for the float's
+    # binary value 3602879701896397/2**55
+    poly = expectation_poly(new_dipole(3), nu=0.1)
+    assert poly.nu == Fraction(1, 10) and poly.to_triples() == [[29, 10, 1]]
+    assert cumulant_poly(new_dipole(3), nu=0.1) == poly
+    assert factorization_verdict(new_dipole(3), nu=0.1).nu == Fraction(1, 10)
+    assert ExpectationPoly(0.5, 1, {2.9: 1}).terms == {Fraction(29, 10): 1}
+    assert expectation_poly(new_dipole(3), nu=2.0) == expectation_poly(new_dipole(3), nu=2)
+
+
 def test_node_budget_truncation_is_flagged():
-    g = random_colored_graph(3, 5, seed=8)
-    rep = max_scaling(g, node_budget=50)
+    g = random_colored_graph(3, 5, seed=8)  # exact from 13 nodes
+    rep = max_scaling(g, node_budget=12)
     assert not rep.exact
     full = max_scaling(g)
     assert full.exact
