@@ -44,7 +44,7 @@ from fractions import Fraction
 from functools import reduce
 from typing import Iterator, Optional, Sequence
 
-from .faces import scaling_defect
+from .faces import count_bicolored_cycles, scaling_defect
 from .graphs import (
     ColoredGraph,
     Matching,
@@ -169,6 +169,34 @@ def _last_two(
     return (a, D + ka), (b, D + kb), (c, 2 * D - ka - kb)
 
 
+def _child_rings(ring, u: int, f_ring: int) -> list[int]:
+    """F_ring once (u, v) is placed, at entry v, for every free v other than u.
+
+    ring holds each ring pair (bnd[c], bnd[c - 1]) of a state whose free
+    vertices have F_ring f_ring (see `_scan`).  Placing (u, v) changes a
+    pair's cycle count by -1 if v is off u's cycle u -c- x1 -d- x2 -c- ...
+    -d- u, by 0 if a d edge reaches v, and by +1 if a c edge does, except
+    for the cycle's neighbours of u: 0 for exactly one of bc[u] and bd[u],
+    -1 where they are one vertex (a 2-cycle, and every v at D = 1).  So
+    every entry starts at f_ring - D, each c edge of the walk adds 2 and
+    each d edge 1, and bc[u] and bd[u] lose 1.  Entries off the free
+    vertices mean nothing.
+    """
+    after = [f_ring - len(ring)] * len(ring[0][0])
+    for bc, bd in ring:
+        x = u
+        while True:
+            y = bc[x]
+            after[y] += 2
+            x = bd[y]
+            if x == u:
+                break
+            after[x] += 1
+        after[bc[u]] -= 1
+        after[bd[u]] -= 1
+    return after
+
+
 def _scan(
     G: ColoredGraph,
     connected_only: bool,
@@ -192,8 +220,11 @@ def _scan(
     b_d); over the ring pairs (c, c - 1 mod D) each color appears twice, so
     2 * F_rest <= D * r + F_ring.  A node is pruned when room = 2 * (best -
     closed) - D * r exceeds F_ring: at once if room > D * r, else, above
-    the last two levels, by the ring walk, which stops once F_ring can
-    reach room.
+    the last two levels, by the F_ring its parent handed it.  F_ring is
+    counted once, at the root, from G's matchings; a node with more than
+    three pairs to go then reads every child's off one walk of u's cycle
+    per ring pair, `_child_rings`.  It does so before its child loop, into
+    a row of its own, as the children splice the arrays the walk reads.
 
     With connected_only, while live > 1 union-find sets are still apart, a
     second bound counts the joins missing.  The path ends of every color
@@ -216,10 +247,12 @@ def _scan(
     reset after it).  At each level the descent pairs the least free vertex
     u with the partner v that closes the most faces; among ties, with the
     one whose spliced boundary has the most ring cycles F_ring (the most
-    room left to close faces), then with the least v.  With
-    connected_only, while components are still apart, v is taken from
-    another union-find set; every set then keeps at least two free
-    vertices, so the descent always ends in a pairing joining them all.
+    room left to close faces), then with the least v.  It tracks F_ring
+    down its levels and reads each partner's off `_child_rings`, as the
+    walk does.  With connected_only, while components are still apart, v
+    is taken from another union-find set; every set then keeps at least
+    two free vertices, so the descent always ends in a pairing joining
+    them all.
     It places its pairs itself, not through `_children`, as it keeps one
     pair per level in effect on the way down, where a child loop would
     splice every sibling.
@@ -291,7 +324,8 @@ def _scan(
     nodes = 0
     exact = True
     ring = [(bnd[c], bnd[c - 1]) for c in range(D)]
-    seen = [0] * two_n  # seen[x] == stamp marks x as on a counted cycle
+    unread = [0] * two_n  # the F_ring passed to levels that never read it
+    seen = [0] * two_n  # seen[x] == stamp marks x as visited by a search
     stamp = 0
     table = 3 * D < 256  # the eight-point row sums fit a byte
     rank = [0] * two_n
@@ -299,38 +333,11 @@ def _scan(
     # (m, c) or (b, 0) for each walked state on its boundary code
     memo: dict[bytes, tuple[int, int]] = {}
 
-    def ring_cycles(cap: int) -> int:
-        """F_ring of the free vertices, or cap once it is sure to reach it.
-
-        Counts the cycles found plus one for each ring pair still to walk
-        (a nonempty pair has at least one), so it never exceeds F_ring and
-        can stop at cap.  A cap of 0 is never reached.
-        """
-        nonlocal stamp
-        found = D
-        for bc, bd in ring:
-            stamp += 1
-            found -= 1
-            x = nxt[S]
-            while x != S:
-                if seen[x] != stamp:
-                    found += 1
-                    if found == cap:
-                        return cap
-                    y = x
-                    while seen[y] != stamp:
-                        seen[y] = stamp
-                        y = bc[y]
-                        seen[y] = stamp
-                        y = bd[y]
-                x = nxt[x]
-        return found
-
     def boundary_components(cap: int) -> int:
         """q_B of the free vertices, or cap once the count reaches it.
 
         One stamped search over the boundary graph B, whose edges are every
-        color's path ends; it shares seen and stamp with ring_cycles.
+        color's path ends.
         """
         nonlocal stamp
         stamp += 1
@@ -361,21 +368,13 @@ def _scan(
         nxt[prv[x]] = x
         prv[nxt[x]] = x
 
-    def ring_after(u: int, w: int) -> int:
-        # F_ring once (u, w) is paired too
-        unlink(w)
-        splice(bnd, u, w)
-        found = ring_cycles(0)
-        unsplice(bnd, u, w)
-        relink(w)
-        return found
-
-    def descend() -> tuple[int, list[tuple[int, int]]]:
+    def descend(f_ring: int) -> tuple[int, list[tuple[int, int]]]:
         live = q if connected_only else 1
         faces = 0
         pairs = []
         while nxt[S] != S:
             u = nxt[S]
+            after = _child_rings(ring, u, f_ring)
             unlink(u)
             closes = [bc[u] for bc in bnd]
             if live > 1:
@@ -391,7 +390,8 @@ def _scan(
             top = max(map(closes.count, options))
             tied = sorted({v for v in options if closes.count(v) == top})
             # max keeps the first, so the least, of equal F_ring
-            v = tied[0] if len(tied) == 1 else max(tied, key=lambda w: ring_after(u, w))
+            v = tied[0] if len(tied) == 1 else max(tied, key=after.__getitem__)
+            f_ring = after[v]
             unlink(v)
             faces += splice(bnd, u, v)
             if live > 1:
@@ -416,12 +416,14 @@ def _scan(
                 pairs.append((w, mate[w]))
         return pairs
 
+    ms = G.matchings
+    f_root = sum(count_bicolored_cycles(ms[c], ms[c - 1]) for c in range(D))
     if decide:
         best = target
     else:
-        best, incumbent = descend()
+        best, incumbent = descend(f_root)
 
-    def rec(remaining: int, closed: int, live: int) -> None:
+    def rec(remaining: int, closed: int, live: int, f_ring: int) -> None:
         nonlocal nodes, exact, best, witness
         u = nxt[S]
         nodes += 1
@@ -435,7 +437,7 @@ def _scan(
             need = best - closed - (D - 1) * remaining + D * (live - 1)
             if need > live and (need > remaining or boundary_components(need) < need):
                 return
-        if room > D and remaining > 2 and ring_cycles(room) < room:
+        if room > D and remaining > 2 and f_ring < room:
             return
         if remaining == 4 and live == 1 and table:
             nodes += 1
@@ -522,9 +524,11 @@ def _scan(
                     return
             best0 = best
             c0 = counts.get(best, 0)
+        # the last two levels read no F_ring
+        after = _child_rings(ring, u, f_ring) if remaining > 3 else unread
         for v, dclosed, lv in _children(bnd, nxt, prv, par, comp_ids, u, live):
             mate[u] = v
-            rec(remaining - 1, closed + dclosed, lv)
+            rec(remaining - 1, closed + dclosed, lv, after[v])
         if key is not None and exact:
             c = counts.get(best, 0)
             if best == best0:
@@ -532,7 +536,7 @@ def _scan(
             memo[key] = (best - closed, c) if c else (best - closed - 1, 0)
 
     try:
-        rec(two_n // 2, 0, q if connected_only else 1)
+        rec(two_n // 2, 0, q if connected_only else 1, f_root)
     except _Hit:
         pass
     del rec  # rec refers to itself: free the memo now, not at the next gc
@@ -1125,9 +1129,9 @@ def max_scaling(
     Works past the histogram budget thanks to pruning.  The least exact
     node_budget of random_colored_graph(3, 16, s) for s = 0, 1, 2, 3 is
     136,504, 3,521, 29,045 and 3,826 nodes, and of random_colored_graph(4,
-    12, s) 41,729, 19,119, 57,243 and 60,939; those searches take 0.02-0.8
-    s (CPU time, one core of a shared 2-core x86 host, Python 3.11).  A
-    search cut by node_budget (at least 1) reports exact=False
+    12, s) 41,729, 19,119, 57,243 and 60,939; those searches take
+    0.004-0.15 s (CPU time, one core of a shared 2-core x86 host, Python
+    3.11).  A search cut by node_budget (at least 1) reports exact=False
     with the best pairings it reached, or else the greedy incumbent it
     started from with num_optimal 1; either way F_max is a lower bound and
     the witness attains it.  The search is sequential; threads is accepted

@@ -36,6 +36,7 @@ from tensorwick.wick import (
     subadditivity_check,
     _Rows,
     _boundary_code,
+    _child_rings,
     _children,
     _histogram,
     _scan,
@@ -44,6 +45,7 @@ from tensorwick.wick import (
 
 from helpers import (
     all_matchings,
+    boundary_matchings,
     brute_histogram,
     catalan,
     closed_faces,
@@ -56,6 +58,7 @@ from helpers import (
     random_connected_graph,
     reference_scan,
     relabelings,
+    ring_cycles,
     spec_quartic_melon,
     two_color_cycle,
 )
@@ -637,6 +640,59 @@ def test_ring_bound_at_the_root(D, n, seed):
     m = g.matchings
     ring = sum(count_bicolored_cycles(m[c], m[c - 1]) for c in range(D))
     assert 2 * max(enumerate_histogram(g).counts) <= D * n + ring
+
+
+def check_child_rings(g, placed, u):
+    """Splice the pairs placed into g's partner arrays, read every child's
+    F_ring off `_child_rings` at u, and compare each with a recount of the
+    boundary walked anew by `helpers`.  Returns the cases the children met."""
+    D = g.D
+    bnd = [list(p) for p in g.partner_arrays()]
+    mate = {}
+    for x, y in placed:
+        splice(bnd, x, y)
+        mate.update({x: y, y: x})
+    free = frozenset(range(2 * g.n)) - set(mate)
+    ring = [(bnd[c], bnd[c - 1]) for c in range(D)]
+    after = _child_rings(ring, u, ring_cycles(boundary_matchings(g, mate, free), free))
+    cases = {"D = 1"} if D == 1 else set()
+    for v in free - {u}:
+        rest = free - {u, v}
+        assert after[v] == ring_cycles(boundary_matchings(g, {**mate, u: v, v: u}, rest), rest)
+        for bc, bd in ring:
+            if bc[u] == bd[u] == v:
+                cases.add("2-cycle")
+            elif (bc[u] == v) != (bd[u] == v):
+                cases.add("one neighbour")
+    return cases
+
+
+def random_state(D, n, seed, k):
+    # a graph and k random pairs of its vertices, with a free vertex u
+    g = random_colored_graph(D, n, seed)
+    rng = random.Random(seed)
+    order = rng.sample(range(2 * n), 2 * n)
+    placed = list(zip(order[: 2 * k : 2], order[1 : 2 * k : 2]))
+    return g, placed, rng.choice(order[2 * k :])
+
+
+@given(st.integers(1, 8), st.integers(1, 7), st.integers(0, 10**6), st.data())
+@settings(max_examples=150, deadline=None)
+def test_child_rings_match_a_recount(D, n, seed, data):
+    # the F_ring the walk hands each child, from one walk of u's cycles,
+    # against a recount after the pair is placed, in any reachable state
+    check_child_rings(*random_state(D, n, seed, data.draw(st.integers(0, n - 1))))
+
+
+def test_child_rings_cover_every_case():
+    # the rule's exceptions: D = 1, where the ring pair is one color twice;
+    # a 2-cycle through u; and v at exactly one end of u's cycle
+    cases = set()
+    for D in range(1, 9):
+        for seed in range(12):
+            n = 2 + seed % 5
+            cases |= check_child_rings(*random_state(D, n, seed, seed % n))
+    assert cases == {"D = 1", "2-cycle", "one neighbour"}
 
 
 # two to four parts of total n 2-6, each a uniform graph or a melonic one:
